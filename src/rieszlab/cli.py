@@ -408,3 +408,7 @@ def run(argv):
 
 def console_main():
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

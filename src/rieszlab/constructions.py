@@ -15,7 +15,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from . import kernels
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, as_int
 from .rng import (
     EVAL_H,
     EXHAUSTION,
@@ -175,7 +175,7 @@ def cancellation_integral(spec, b, a, c, r, quad_depth=2):
         raise DomainError("center must be a finite vector of shape (n,)")
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError("support radius must be a positive finite number")
-    if not isinstance(quad_depth, int) or not 0 <= quad_depth <= 6:
+    if not 0 <= as_int(quad_depth, "quad_depth") <= 6:
         raise DomainError("quad_depth must be an integer in [0, 6]")
     a = float(a)
     if abs(a - b.l1_norm) > 1e-10 * max(1.0, abs(a)):
@@ -396,7 +396,7 @@ def eval_h(spec, exhaustion, x, samples, seed, threads=1):
         def body(gen, size, chunk_index):
             y = ex.sample_ball(gen, size)
             vals = kernels.kernel_values(spec, x - y) * ex.contains(y)
-            return float(np.sum(vals)), float(np.dot(vals, vals)), size
+            return float(np.sum(vals)), float(np.sum(vals * vals)), size
 
         partials = run_chunked(
             samples, body, seed, EVAL_H, unit=ex.index, threads=threads

@@ -12,17 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_int
 from .measures import PointMassMeasure
 
 _MAX_FINE_CELLS = 1 << 22
 _SLICE_OPS = 1 << 23
-
-
-def _as_int(value, what):
-    if not isinstance(value, (int, np.integer)):
-        raise DomainError("%s must be an integer" % what)
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -33,8 +27,8 @@ class DyadicCube:
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "level", _as_int(self.level, "cube level"))
-        coords = tuple(int(c) for c in self.coords)
+        object.__setattr__(self, "level", as_int(self.level, "cube level"))
+        coords = tuple(as_int(c, "cube coordinate") for c in self.coords)
         if len(coords) < 1:
             raise DomainError("cube needs at least one coordinate")
         object.__setattr__(self, "coords", coords)
@@ -76,7 +70,7 @@ class DyadicCube:
     @staticmethod
     def from_json_dict(doc):
         try:
-            return DyadicCube(int(doc["level"]), tuple(doc["coords"]))
+            return DyadicCube(doc["level"], tuple(doc["coords"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("malformed cube document: %s" % exc) from exc
 
@@ -90,11 +84,13 @@ class CellUnion:
     cells: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _as_int(self.n, "dimension"))
-        object.__setattr__(self, "level", _as_int(self.level, "cell level"))
+        object.__setattr__(self, "n", as_int(self.n, "dimension"))
+        object.__setattr__(self, "level", as_int(self.level, "cell level"))
         if self.n < 1:
             raise DomainError("dimension must be a positive integer")
-        cells = sorted({tuple(int(x) for x in c) for c in self.cells})
+        cells = sorted(
+            {tuple(as_int(x, "cell coordinate") for x in c) for c in self.cells}
+        )
         if any(len(c) != self.n for c in cells):
             raise DomainError("every cell needs exactly n coordinates")
         object.__setattr__(self, "cells", tuple(cells))
@@ -117,7 +113,7 @@ class CellUnion:
     @staticmethod
     def from_json_dict(doc):
         try:
-            return CellUnion(int(doc["n"]), int(doc["L"]), tuple(doc["cells"]))
+            return CellUnion(doc["n"], doc["L"], tuple(doc["cells"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("malformed cell-set document: %s" % exc) from exc
 
@@ -215,7 +211,7 @@ def whitney_decompose(union, max_depth):
     """
     if union.count == 0:
         raise DomainError("cannot decompose an empty set")
-    max_depth = _as_int(max_depth, "max_depth")
+    max_depth = as_int(max_depth, "max_depth")
     if max_depth < union.level:
         raise DomainError("max_depth must be an integer >= the cell level")
     n = union.n
@@ -299,7 +295,7 @@ class GridFunction:
     def __init__(self, level, box, values):
         if not isinstance(box, DyadicCube):
             raise DomainError("bounding box must be a dyadic cube")
-        level = _as_int(level, "grid level")
+        level = as_int(level, "grid level")
         if level < box.level:
             raise DomainError("grid level must be >= the box level")
         side = 1 << (level - box.level)
@@ -366,7 +362,7 @@ class GridFunction:
     def from_json_dict(doc):
         try:
             return GridFunction(
-                int(doc["L"]),
+                doc["L"],
                 DyadicCube.from_json_dict(doc["box"]),
                 np.asarray(doc["values"], dtype=float),
             )

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from . import rng
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, as_int
 
 RIESZ = "riesz"
 SECOND_ORDER = "riesz2"
@@ -36,7 +36,9 @@ class KernelSpec:
     j: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        for name in ("n", "i", "j"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        if self.n < 1:
             raise DomainError("dimension n must be a positive integer")
         if self.kind not in _KINDS:
             raise DomainError("unknown kernel kind %r" % (self.kind,))
@@ -46,7 +48,7 @@ class KernelSpec:
             # at n = 1 the only second-order profile is identically zero
             raise DomainError("second-order kernels require n >= 2")
         for idx in (self.i, self.j):
-            if not isinstance(idx, int) or not 1 <= idx <= self.n:
+            if not 1 <= idx <= self.n:
                 raise DomainError("component indices must lie in 1..n")
 
     @property
@@ -90,11 +92,46 @@ def omega(spec, x):
     return normalization(spec) * profile(spec, x)
 
 
+def _inverse_power(inv, e):
+    """|x|^-e from inv = 1/|x|^2: integer powers of inv by squaring, and one
+    sqrt only when e is odd."""
+    out = np.sqrt(inv) if e % 2 else None
+    base, p = inv, e // 2
+    while p:
+        if p & 1:
+            out = base if out is None else out * base
+        p >>= 1
+        if p:
+            base = base * base
+    return out
+
+
+def kernel_from_r2(spec, offsets, r2):
+    """K from coordinate offsets and r2 = |x|^2, no pole checking.
+
+    offsets[d] holds coordinate d (0-based) of x; only the kernel's own
+    components i and j are read, so callers that form r2 one coordinate at a
+    time need keep only those. K = c P(x) |x|^-e with P = x_j, e = n + 1
+    (Riesz), P = x_i x_j, e = n + 2 (second order, i != j) and
+    P = x_j^2 / |x|^2 - 1/n, e = n (second order, i = j).
+    """
+    n = spec.n
+    inv = 1.0 / r2
+    xj = offsets[spec.j - 1]
+    if spec.kind != SECOND_ORDER:
+        p, e = xj, n + 1
+    elif spec.diagonal:
+        p, e = xj * xj * inv - 1.0 / n, n
+    else:
+        p, e = offsets[spec.i - 1] * xj, n + 2
+    return normalization(spec) * p * _inverse_power(inv, e)
+
+
 def kernel_values(spec, x):
     """K at a batch of points, no pole checking (callers mask poles)."""
     x = np.asarray(x, dtype=float)
     r2 = np.sum(x * x, axis=-1)
-    return omega(spec, x) * r2 ** (-spec.n / 2)
+    return kernel_from_r2(spec, np.moveaxis(x, -1, 0), r2)
 
 
 def eval_kernel(spec, x):
@@ -180,7 +217,7 @@ def ball_volume(n):
 
 def dimensional_constant(n):
     """|B(0,1)| times the Riesz normalization; decays like n^{-1/2}."""
-    if not isinstance(n, int) or n < 1:
+    if as_int(n, "n") < 1:
         raise DomainError("n must be a positive integer")
     return math.exp(
         math.log(2.0)

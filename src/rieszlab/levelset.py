@@ -231,8 +231,16 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1):
     There the balls are the covering balls at lam / 2, twice the volume,
     which a single mass hits with probability 1/2. The weights therefore
     always have positive variance: the SE is a genuine sampling error, never
-    0 by construction (it reads 0 only if not one draw hits). The estimate
-    is unbiased and byte identical across thread counts for a fixed seed.
+    0 by construction. When not one of the m draws hits, the value is 0.0
+    and the SE is the rule-of-three bound 3 * (union volume) / m: a hit
+    probability above 3/m would have given a hit with probability above
+    95%. The value is then a numpy zero, so a relative error se / value is
+    inf rather than a ZeroDivisionError. The estimate is unbiased and byte
+    identical across thread counts for a fixed seed.
+
+    Each chunk makes one pass over tiles of masses (measures.kernel_tiles):
+    r2 is formed once per (sample, mass) pair and gives the pole test, the
+    cover count and K, so memory is bounded whatever the number of masses.
     """
     lam = _check_threshold(lam)
     if spec.n != nu.n:
@@ -243,6 +251,8 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1):
 
     n = spec.n
     rho = covering_radii(spec, nu, lam / 2.0 if n == 1 else lam)
+    rho2 = rho * rho
+    pole2 = measures.POLE_RADIUS**2
     vball = kernels.ball_volume(n)
     vols = vball * rho**n
     vtot = float(np.sum(vols))
@@ -256,30 +266,42 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1):
         idx = np.minimum(idx, count - 1)
         return centers[idx] + rho[idx, None] * uniform_ball(gen, size, n)
 
+    def evaluate(pts):
+        """(|T nu| > lam, cover count, at a pole) for each row of pts."""
+        rows = pts.shape[0]
+        total = np.zeros(rows)
+        cover = np.zeros(rows, dtype=np.int32)
+        pole = np.zeros(rows, dtype=bool)
+        # rows at a pole carry inf or nan; they are redrawn by the caller
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for tile, r2, vals in measures.kernel_tiles(spec, nu, pts):
+                pole |= np.any(r2 <= pole2, axis=0)
+                cover += np.sum(r2 <= rho2[tile, None], axis=0, dtype=np.int32)
+                vals *= masses[tile, None]
+                total += vals.sum(axis=0)
+        return np.abs(total) > lam, np.maximum(cover, 1), pole
+
     def body(gen, size, chunk_index):
         pts = draw(gen, size)
-        diffs = pts[:, None, :] - centers[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
+        hit, cover, pole = evaluate(pts)
         # a draw can land on a pole only with vanishing probability; redraw
         # those rows from the retry stream so the estimate stays unbiased
         for tries in range(_POLE_TRIES):
-            rows = np.flatnonzero(np.min(dist, axis=1) <= measures.POLE_RADIUS)
+            rows = np.flatnonzero(pole)
             if rows.size == 0:
                 break
             retry = generator(seed, LEVELSET_RETRY, unit=chunk_index, chunk=tries)
             pts[rows] = draw(retry, rows.size)
-            diffs[rows] = pts[rows, None, :] - centers[None, :, :]
-            dist[rows] = np.linalg.norm(diffs[rows], axis=2)
+            hit[rows], cover[rows], pole[rows] = evaluate(pts[rows])
         else:
             raise ToleranceError("could not draw sample points off the poles")
-        cover = np.maximum(np.sum(dist <= rho[None, :], axis=1), 1)
-        vals = kernels.kernel_values(spec, diffs.reshape(-1, n)).reshape(size, count)
-        hit = np.abs(vals @ masses) > lam
         w = np.where(hit, vtot / cover, 0.0)
-        return float(np.sum(w)), float(np.dot(w, w)), size
+        return float(np.sum(w)), float(np.sum(w * w)), size
 
     partials = run_chunked(samples, body, seed, LEVELSET, threads=threads)
     mean, se, m = combine_mean_se(partials)
+    if mean == 0.0:
+        return LevelSetEstimate(np.float64(0.0), 3.0 * vtot / m, m, "mc", lam)
     return LevelSetEstimate(mean, se, m, "mc", lam)
 
 

@@ -13,9 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, as_int
 
 POLE_RADIUS = 1e-12
+# (point, mass) pairs per tile of the batched transform: each of a tile's
+# arrays is 128 kB, so they stay in a core's L2 cache. A full Monte Carlo
+# chunk (rng.CHUNK points) takes one mass per tile.
+PAIR_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -27,7 +31,8 @@ class PointMassMeasure:
     def __post_init__(self):
         masses = np.asarray(self.masses, dtype=float)
         centers = np.asarray(self.centers, dtype=float)
-        if not isinstance(self.n, int) or self.n < 1:
+        n = as_int(self.n, "dimension n")
+        if n < 1:
             raise DomainError("dimension n must be a positive integer")
         if masses.ndim != 1 or masses.size < 1:
             raise DomainError("at least one mass is required")
@@ -39,6 +44,7 @@ class PointMassMeasure:
             raise DomainError("centers must be finite")
         masses.flags.writeable = False
         centers.flags.writeable = False
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "centers", centers)
 
@@ -66,7 +72,7 @@ class PointMassMeasure:
             raise DomainError("malformed measure object: %s" % exc) from exc
         if len(entries) == 0:
             raise DomainError("measure must carry at least one mass")
-        return cls(int(n), np.array(masses, dtype=float), np.array(centers, dtype=float))
+        return cls(n, np.array(masses, dtype=float), np.array(centers, dtype=float))
 
 
 def measure_from_json(text):
@@ -108,12 +114,45 @@ def _check_pair(spec, nu):
         raise DomainError("kernel and measure dimensions disagree")
 
 
+def kernel_tiles(spec, nu, points):
+    """(mass slice, r2, K) over tiles of masses, for a batch of points.
+
+    r2 = |x - c_k|^2 is formed once per (point, mass) pair, one coordinate
+    at a time, and K is derived from it. The arrays are (tile, points): one
+    row per mass, so sums over masses run down the first axis, vectorised
+    over the points. A tile holds PAIR_BUDGET // points masses (at least
+    one), so memory stays bounded whatever the number of masses. No pole
+    checks: pairs at a pole carry inf or nan.
+    """
+    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    width = max(1, PAIR_BUDGET // max(cols.shape[1], 1))
+    keep = {spec.i - 1, spec.j - 1}
+    for start in range(0, nu.count, width):
+        tile = slice(start, start + width)
+        centers = nu.centers[tile]
+        offsets = [None] * spec.n
+        r2 = None
+        for d in range(spec.n):
+            diff = cols[d] - centers[:, d, None]
+            if d in keep:
+                offsets[d] = diff
+                sq = diff * diff
+            else:
+                sq = np.multiply(diff, diff, out=diff)
+            if r2 is None:
+                r2 = sq
+            else:
+                r2 += sq
+        yield tile, r2, kernels.kernel_from_r2(spec, offsets, r2)
+
+
 def transform_many(spec, nu, points):
     """T nu at a batch of points, no pole checks (callers mask poles)."""
-    points = np.asarray(points, dtype=float)
-    diffs = points[:, None, :] - nu.centers[None, :, :]
-    vals = kernels.kernel_values(spec, diffs.reshape(-1, spec.n))
-    return vals.reshape(points.shape[0], nu.count) @ nu.masses
+    total = np.zeros(np.shape(points)[0])
+    for tile, _, vals in kernel_tiles(spec, nu, points):
+        vals *= nu.masses[tile, None]
+        total += vals.sum(axis=0)
+    return total
 
 
 def eval_transform(spec, nu, x):

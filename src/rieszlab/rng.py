@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_int
 
 # Stream ids, one per Monte Carlo consumer.  Distinct ids give disjoint
 # counter ranges under the same seed.
@@ -33,11 +33,10 @@ CHUNK = 1 << 14
 
 
 def check_seed(seed):
-    if not isinstance(seed, (int, np.integer)):
-        raise DomainError("seed must be an integer")
-    if not 0 <= int(seed) < 2**64:
+    seed = as_int(seed, "seed")
+    if not 0 <= seed < 2**64:
         raise DomainError("seed must lie in [0, 2**64)")
-    return int(seed)
+    return seed
 
 
 def generator(seed, stream, unit=0, chunk=0):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from . import levelset
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, as_int
 from .measures import PointMassMeasure
 from .rng import (
     SEARCH_ANNEAL,
@@ -50,18 +50,18 @@ class SearchProblem:
     restarts: int = 4
 
     def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 1:
+        if as_int(self.count, "mass count") < 1:
             raise DomainError("mass count must be a positive integer")
         if self.samples < levelset.MIN_SAMPLES:
             raise DomainError(
                 "need at least %d samples" % levelset.MIN_SAMPLES
             )
         check_seed(self.seed)
-        if not isinstance(self.iterations, int) or self.iterations < 1:
+        if as_int(self.iterations, "iteration budget") < 1:
             raise DomainError("iteration budget must be a positive integer")
         if self.kind not in KINDS:
             raise DomainError("optimizer kind must be one of %s" % (KINDS,))
-        if not isinstance(self.restarts, int) or self.restarts < 1:
+        if as_int(self.restarts, "restart count") < 1:
             raise DomainError("restart count must be a positive integer")
 
     @property

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +65,29 @@ def test_constants_row(capsys):
     assert float(rows[0]["ball_volume"]) == pytest.approx(2.0, rel=1e-12)
     # 17 significant digits so the doubles survive a round trip
     assert len(rows[0]["sphere_l1"].replace("0.", "")) == 17
+
+
+def test_module_entry_point(capsys):
+    # python -m rieszlab.cli used to import the module and print nothing
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rieszlab.cli", "constants", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == run_ok(capsys, ["constants", "--n", "3"])
+    assert len(parse_csv(proc.stdout)) == 1
+
+
+def test_non_integer_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"n": 1, "L": 0, "cells": [[0.5]]}))
+    assert cli.run(["whitney", "--set", str(path), "--max-depth", "3"]) == 2
+    path.write_text(json.dumps({"n": True, "masses": [{"a": 1.0, "c": [0.0]}]}))
+    assert cli.run(["levelset", "--measure", str(path), "--lambda", "1"]) == 2
+    capsys.readouterr()
 
 
 def test_hilbert_exact_single_pole(capsys, files):

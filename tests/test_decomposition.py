@@ -70,6 +70,34 @@ def test_cell_union_canonical_and_json():
         D.cells_from_json(json.dumps({"n": 1, "cells": []}))
 
 
+@pytest.mark.parametrize(
+    "n,level,cells",
+    [
+        (2.5, 1, [[0, 0], [1, 1]]),
+        (True, 1, [[0], [1]]),
+        (2, 0.5, [[0, 0], [1, 1]]),
+        (2, False, [[0, 0], [1, 1]]),
+        (2, 1, [[0.5, 0], [0, 0]]),
+    ],
+)
+def test_cells_json_rejects_non_integer_fields(n, level, cells):
+    # each was once read through int(): 2.5 as 2, true as 1, and the cell
+    # [0.5, 0] merged into [0, 0]
+    doc = {"n": n, "L": level, "cells": cells}
+    with pytest.raises(DomainError):
+        D.cells_from_json(json.dumps(doc))
+
+
+def test_grid_and_cube_json_reject_non_integer_levels():
+    box = {"level": 0, "coords": [0]}
+    doc = {"n": 1, "L": 1, "box": box, "values": [1.0, 2.0]}
+    D.grid_from_json(json.dumps(doc))
+    for bad in ({"L": 1.0}, {"box": {"level": 0.0, "coords": [0]}},
+                {"box": {"level": 0, "coords": [0.25]}}):
+        with pytest.raises(DomainError):
+            D.grid_from_json(json.dumps({**doc, **bad}))
+
+
 def test_whitney_unit_interval_frozen():
     # U = [0,1) cut at depth 6: the cube ladder doubles away from each
     # endpoint and exactly two cells per side are left at the cutoff

@@ -84,6 +84,30 @@ def test_gradient_matches_finite_differences(spec):
             assert abs(g[axis] - fd) <= 1e-6
 
 
+def _every_kernel(n):
+    specs = [K.riesz(n, j) for j in range(1, n + 1)]
+    if n == 1:
+        return specs + [K.hilbert()]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return specs + [K.second_order(n, i, j) for i, j in pairs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_kernel_values_match_profile_formula(n):
+    # K = Omega(x) |x|^-n; kernel_values takes integer powers of 1/|x|^2
+    # instead, so the two agree to rounding on the scale sup|Omega| |x|^-n
+    gen = np.random.default_rng(300 + n)
+    x = gen.normal(size=(400, n)) * gen.uniform(0.05, 20.0, size=(400, 1))
+    r2 = np.sum(x * x, axis=1)
+    for spec in _every_kernel(n):
+        want = K.omega(spec, x) * r2 ** (-n / 2)
+        scale = K.omega_sup(spec) * r2 ** (-n / 2)
+        got = K.kernel_values(spec, x)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        offsets = {spec.i - 1: x[:, spec.i - 1], spec.j - 1: x[:, spec.j - 1]}
+        assert np.array_equal(K.kernel_from_r2(spec, offsets, r2), got)
+
+
 def test_gradient_frozen_examples():
     # profile x_j/|x| has zero tangential... zero gradient along its own axis
     g = K.eval_omega_gradient(K.riesz(3, 1), np.array([1.0, 0.0, 0.0]))

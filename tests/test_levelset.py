@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,55 @@ def test_mc_determinism_and_thread_independence():
     assert (a.value, a.standard_error) == (c.value, c.standard_error)
     d = L.mc_levelset(spec, nu, 1.0, 50000, seed=10)
     assert d.value != a.value
+
+
+def test_mc_thread_independence_across_tiles():
+    # 40 masses: a full chunk takes one mass per tile, the last chunk two
+    gen = np.random.default_rng(23)
+    nu = M.PointMassMeasure(
+        n=3, masses=gen.uniform(0.5, 1.5, 40), centers=gen.normal(size=(40, 3))
+    )
+    assert M.PAIR_BUDGET // 7232 < nu.count
+    for spec in (K.riesz(3, 2), K.second_order(3, 1, 3), K.second_order(3, 2, 2)):
+        one = L.mc_levelset(spec, nu, 1.0, 40000, seed=12)
+        two = L.mc_levelset(spec, nu, 1.0, 40000, seed=12, threads=2)
+        assert repr(one) == repr(two)
+        assert one.standard_error > 0.0
+
+
+def test_mc_memory_does_not_grow_with_masses():
+    # the parent design held (samples, masses, n) arrays: 280 MB here
+    gen = np.random.default_rng(5)
+    nu = M.PointMassMeasure(
+        n=2, masses=np.ones(5000), centers=gen.uniform(-10.0, 10.0, (5000, 2))
+    )
+    tracemalloc.start()
+    try:
+        est = L.mc_levelset(K.riesz(2, 1), nu, 1.0, 1000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.standard_error > 0.0
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mc_all_miss_reports_rule_of_three_bound(seed):
+    # 100 masses spread far apart in 20-D: not one of 1000 draws hits
+    spec = K.riesz(20, 1)
+    nu = M.PointMassMeasure(
+        n=20,
+        masses=np.ones(100),
+        centers=np.random.default_rng(0).normal(size=(100, 20)) * 100,
+    )
+    est = L.mc_levelset(spec, nu, 1.0, 1000, seed=seed)
+    vtot = K.ball_volume(20) * float(np.sum(L.covering_radii(spec, nu, 1.0) ** 20))
+    assert est.value == 0.0
+    assert est.standard_error > 0.0
+    assert est.standard_error == pytest.approx(3.0 * vtot / 1000, rel=1e-12)
+    # a numpy zero: the relative error is inf, not a ZeroDivisionError
+    with np.errstate(divide="ignore"):
+        assert est.standard_error / est.value == math.inf
 
 
 def test_mc_standard_error_scaling():

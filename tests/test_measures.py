@@ -89,6 +89,21 @@ def test_transform_many_matches_pointwise():
             )
 
 
+def test_transform_many_across_tiles_matches_direct_sum():
+    # 3000 points take PAIR_BUDGET // 3000 masses per tile: several tiles
+    gen = np.random.default_rng(12)
+    spec = K.second_order(2, 1, 2)
+    nu = random_measure(gen, 2, 40)
+    pts = gen.normal(size=(3000, 2)) * 3.0
+    assert M.PAIR_BUDGET // len(pts) < nu.count
+    batch = M.transform_many(spec, nu, pts)
+    for i in range(0, 3000, 97):
+        terms = nu.masses * K.kernel_values(spec, pts[i] - nu.centers)
+        assert batch[i] == pytest.approx(
+            math.fsum(terms), rel=1e-12, abs=1e-12 * np.sum(np.abs(terms))
+        )
+
+
 def test_max_truncation_frozen_example():
     # partial sums over shrinking truncation radii: 0, 1/(1.5 pi),
     # 1/(1.5 pi) - 1/(0.5 pi); the sup of |.| is 4/(3 pi)
@@ -215,6 +230,16 @@ def test_json_rejects_empty_and_malformed():
         )
     with pytest.raises(DomainError):
         M.measure_from_json("not json at all")
+
+
+@pytest.mark.parametrize(
+    "n,c", [(2.7, [0.0, 0.0]), (2.0, [0.0, 0.0]), (True, [0.0]), ("2", [0.0, 0.0])]
+)
+def test_json_rejects_non_integer_dimension(n, c):
+    # each was once read as int(n): 2.7 as 2 and true as 1
+    doc = {"n": n, "masses": [{"a": 1.0, "c": c}]}
+    with pytest.raises(DomainError):
+        M.measure_from_json(json.dumps(doc))
 
 
 def test_merge_duplicate_centers():
