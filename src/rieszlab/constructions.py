@@ -14,11 +14,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
-from . import kernels
-from .errors import DomainError, ToleranceError, as_int
+from . import kernels, measures
+from .errors import DomainError, ToleranceError, as_int, as_point, as_positive
 from .rng import (
     EVAL_H,
     EXHAUSTION,
+    check_samples,
     check_seed,
     combine_mean_se,
     generator,
@@ -26,7 +27,6 @@ from .rng import (
     uniform_ball,
 )
 
-MIN_SAMPLES = 1000
 TAIL_RELATIVE = 1e-6
 _MAX_PANELS = 80
 _MAX_GROW = 12
@@ -42,8 +42,7 @@ def annulus_kernel_l1(spec, radius=1.0):
     element, leaving the sphere norm times an independent 1-D quadrature
     (whose exact value is log n).
     """
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise DomainError("radius must be a positive finite number")
+    radius = as_positive(radius, "radius")
     n = spec.n
     if n < 2:
         raise DomainError("the annulus between r and n r is empty for n = 1")
@@ -100,8 +99,9 @@ def _transform_closure(spec, b, quad_depth):
 
     In one dimension the transform of a cell indicator is a log difference,
     so the piecewise-constant density transforms in closed form. Higher
-    dimensions use the midpoint rule on the refined cells; there the
-    evaluation points keep a distance of order r from the support.
+    dimensions use the midpoint rule on the refined cells, summed as the
+    transform of point masses at the midpoints; there the evaluation points
+    keep a distance of order r from the support.
     """
     n = b.n
     if n == 1:
@@ -119,14 +119,8 @@ def _transform_closure(spec, b, quad_depth):
         return transform
 
     pts, wts = _density_nodes(b, quad_depth)
-
-    def transform(y):
-        diff = y[:, None, :] - pts[None, :, :]
-        return kernels.kernel_values(spec, diff.reshape(-1, n)).reshape(
-            len(y), len(pts)
-        ) @ wts
-
-    return transform
+    nodes = measures.PointMassMeasure(n, wts, pts)
+    return lambda y: measures.transform_many(spec, nodes, y)
 
 
 def _radial_breaks(edge, n):
@@ -168,13 +162,9 @@ def cancellation_integral(spec, b, a, c, r, quad_depth=2):
     tail bound drops below 1e-6 of the accumulated value.
     """
     n = spec.n
-    if b.n != n:
-        raise DomainError("kernel and density dimensions differ")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (n,) or not np.all(np.isfinite(c)):
-        raise DomainError("center must be a finite vector of shape (n,)")
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError("support radius must be a positive finite number")
+    kernels.check_dimension(spec, b)
+    c = as_point(c, n, "center")
+    r = as_positive(r, "support radius")
     if not 0 <= as_int(quad_depth, "quad_depth") <= 6:
         raise DomainError("quad_depth must be an integer in [0, 6]")
     a = float(a)
@@ -280,11 +270,8 @@ def build_exhaustion(nu, lam, mc_samples, seed):
     is then a nondecreasing step function of the radius), stopping when the
     estimate is within three standard errors of the target volume.
     """
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError("threshold must be a positive finite number")
-    if mc_samples < MIN_SAMPLES:
-        raise DomainError("need at least %d samples" % MIN_SAMPLES)
+    lam = as_positive(lam, "threshold")
+    check_samples(mc_samples)
     check_seed(seed)
     n = nu.n
     vball = kernels.ball_volume(n)
@@ -379,17 +366,13 @@ def eval_h(spec, exhaustion, x, samples, seed, threads=1):
     Carlo over the set's carrying ball with the membership indicator.
     """
     n = spec.n
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,) or not np.all(np.isfinite(x)):
-        raise DomainError("point must be a finite vector of shape (n,)")
-    if samples < MIN_SAMPLES:
-        raise DomainError("need at least %d samples" % MIN_SAMPLES)
+    x = as_point(x, n)
+    check_samples(samples)
     check_seed(seed)
 
     total = 0.0
     for ex in exhaustion:
-        if ex.n != n:
-            raise DomainError("kernel and exhaustion dimensions differ")
+        kernels.check_dimension(spec, ex)
         if np.linalg.norm(x - ex.center) <= n * ex.radius:
             continue
 

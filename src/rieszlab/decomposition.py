@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_int
+from .errors import DomainError, as_int, as_positive
 from .measures import PointMassMeasure
 
 _MAX_FINE_CELLS = 1 << 22
@@ -500,9 +500,7 @@ def cz_decompose(f, threshold, max_depth):
     Whitney cube (and each residual cell) of U carries one piece, and every
     piece's integral sits as a point mass at its cube's center.
     """
-    lam = float(threshold)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError("threshold must be a positive finite number")
+    lam = as_positive(threshold, "threshold")
     union = cells_above(f, lam)
     if union.count == 0:
         return CZDecomposition(lam, f, (), None, (), 0.0)

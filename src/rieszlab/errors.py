@@ -1,11 +1,14 @@
-"""Shared exception types and the integer check on outside input.
+"""Shared exception types and the checks on outside input.
 
 DomainError marks inputs outside an operation's contract (the CLI maps it to
 exit code 2); ToleranceError marks a numerical budget or tolerance that could
 not be met (exit code 3).
 """
 
+import math
 import numbers
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -32,3 +35,19 @@ def as_int(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise DomainError("%s must be an integer" % what)
     return int(value)
+
+
+def as_positive(value, what):
+    """value as a positive finite float; DomainError otherwise."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError("%s must be a positive finite number" % what)
+    return value
+
+
+def as_point(x, n, what="point"):
+    """x as a finite float vector of shape (n,); DomainError otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise DomainError("%s must be a finite vector of shape (n,)" % what)
+    return x

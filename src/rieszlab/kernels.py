@@ -1,13 +1,12 @@
 """Homogeneous singular-integral kernels K(x) = omega(x/|x|) / |x|^n.
 
-Three families: the Riesz kernels with profile x_j/|x|, the second-order
-kernels with profiles x_i x_j/|x|^2 (i != j) and x_j^2/|x|^2 - 1/n, and the
-Hilbert kernel (the n = 1 Riesz kernel, kept as its own kind).  Closed forms
-cover the normalization, the sphere L^1 norm (exact for Riesz/Hilbert, an
-upper bound for second order), the profile gradient, and the dimensional
-constant; Monte Carlo checkers cover the zero sphere mean and the integral
-Lipschitz condition; a deterministic 1-D quadrature path serves as the
-independent oracle for sphere integrals.
+Two families: the Riesz kernels with profile x_j/|x| (at n = 1 the Hilbert
+kernel 1/(pi x)) and the second-order kernels with profiles x_i x_j/|x|^2
+(i != j) and x_j^2/|x|^2 - 1/n.  Closed forms cover the normalization, the
+sphere L^1 norm (exact for Riesz, an upper bound for second order), the
+profile gradient, and the dimensional constant; Monte Carlo checkers cover
+the zero sphere mean and the integral Lipschitz condition; a deterministic
+1-D quadrature path serves as the independent oracle for sphere integrals.
 """
 
 import math
@@ -17,13 +16,12 @@ import numpy as np
 from scipy import integrate
 
 from . import rng
-from .errors import DomainError, ToleranceError, as_int
+from .errors import DomainError, ToleranceError, as_int, as_point
 
 RIESZ = "riesz"
 SECOND_ORDER = "riesz2"
-HILBERT = "hilbert"
 
-_KINDS = (RIESZ, SECOND_ORDER, HILBERT)
+_KINDS = (RIESZ, SECOND_ORDER)
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,6 @@ class KernelSpec:
             raise DomainError("dimension n must be a positive integer")
         if self.kind not in _KINDS:
             raise DomainError("unknown kernel kind %r" % (self.kind,))
-        if self.kind == HILBERT and self.n != 1:
-            raise DomainError("the Hilbert kernel is defined only for n = 1")
         if self.kind == SECOND_ORDER and self.n < 2:
             # at n = 1 the only second-order profile is identically zero
             raise DomainError("second-order kernels require n >= 2")
@@ -61,11 +57,18 @@ def riesz(n, j=1):
 
 
 def hilbert():
-    return KernelSpec(1, HILBERT, 1, 1)
+    """The Hilbert kernel 1/(pi x): the Riesz kernel of dimension 1."""
+    return riesz(1, 1)
 
 
 def second_order(n, i, j):
     return KernelSpec(n, SECOND_ORDER, i, j)
+
+
+def check_dimension(spec, other):
+    """DomainError unless other (a measure, density or set) lives in R^n."""
+    if other.n != spec.n:
+        raise DomainError("kernel and input dimensions differ")
 
 
 def normalization(spec):
@@ -80,7 +83,7 @@ def profile(spec, x):
     """Raw 0-homogeneous profile (no normalization). x: array (..., n)."""
     x = np.asarray(x, dtype=float)
     r2 = np.sum(x * x, axis=-1)
-    if spec.kind in (RIESZ, HILBERT):
+    if spec.kind == RIESZ:
         return x[..., spec.j - 1] / np.sqrt(r2)
     if spec.i != spec.j:
         return x[..., spec.i - 1] * x[..., spec.j - 1] / r2
@@ -136,11 +139,7 @@ def kernel_values(spec, x):
 
 def eval_kernel(spec, x):
     """K at one point; the origin is outside the domain."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.n,):
-        raise DomainError("point must have shape (n,)")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("point must be finite")
+    x = as_point(x, spec.n)
     if np.dot(x, x) == 0.0:
         raise DomainError("kernel undefined at the origin")
     return float(kernel_values(spec, x))
@@ -152,7 +151,7 @@ def profile_gradient(spec, x):
     r2 = np.sum(x * x, axis=-1, keepdims=True)
     n = spec.n
     grad = np.zeros_like(x)
-    if spec.kind in (RIESZ, HILBERT):
+    if spec.kind == RIESZ:
         j = spec.j - 1
         r = np.sqrt(r2)
         grad += -x[..., j:j + 1] * x / (r2 * r)
@@ -171,9 +170,7 @@ def profile_gradient(spec, x):
 
 def eval_omega_gradient(spec, x):
     """Closed-form gradient of the raw profile at one nonzero point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.n,):
-        raise DomainError("point must have shape (n,)")
+    x = as_point(x, spec.n)
     if np.dot(x, x) == 0.0:
         raise DomainError("gradient undefined at the origin")
     return profile_gradient(spec, x)
@@ -181,7 +178,7 @@ def eval_omega_gradient(spec, x):
 
 def profile_gradient_sup(spec):
     """sup over x != 0 of |x| * |grad profile(x)|: 1, sqrt(5), or 2."""
-    if spec.kind in (RIESZ, HILBERT):
+    if spec.kind == RIESZ:
         return 1.0
     return 2.0 if spec.diagonal else math.sqrt(5.0)
 
@@ -189,7 +186,7 @@ def profile_gradient_sup(spec):
 def omega_sup(spec):
     """sup of |Omega| on the unit sphere, closed form."""
     c = normalization(spec)
-    if spec.kind in (RIESZ, HILBERT):
+    if spec.kind == RIESZ:
         return c
     if spec.diagonal:
         return c * (1.0 - 1.0 / spec.n)
@@ -236,7 +233,7 @@ class SphereNorm:
 
 
 def sphere_l1_norm(spec):
-    if spec.kind in (RIESZ, HILBERT):
+    if spec.kind == RIESZ:
         return SphereNorm(2.0 / math.pi, True)
     # second order: the sharp closed form is not asserted, only the bound
     return SphereNorm(2.0 if spec.diagonal else 1.0, False)
@@ -250,8 +247,7 @@ class SphereIntegralEstimate:
 
 
 def _sphere_mc(spec, func, samples, seed, stream, threads=1):
-    if samples < 1000:
-        raise DomainError("sphere MC requires samples >= 1000")
+    rng.check_samples(samples)
     area = sphere_surface_area(spec.n)
 
     def chunk(gen, m, _c):
@@ -285,15 +281,12 @@ def lipschitz_condition_ratio(spec, xi, delta, samples, seed, threads=1):
     xi must be a unit vector and delta must lie in (0, 1/n): at delta = 1/n
     the displaced argument may reach the origin where the profile blows up.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (spec.n,):
-        raise DomainError("xi must have shape (n,)")
+    xi = as_point(xi, spec.n, "xi")
     if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
         raise DomainError("xi must be a unit vector")
     if not 0.0 < delta < 1.0 / spec.n:
         raise DomainError("delta must lie in the open interval (0, 1/n)")
-    if samples < 1000:
-        raise DomainError("sphere MC requires samples >= 1000")
+    rng.check_samples(samples)
 
     area = sphere_surface_area(spec.n)
     closed = sphere_l1_norm(spec)
@@ -360,7 +353,7 @@ def sphere_l1_quadrature(spec):
     """Deterministic sphere L^1 norm of Omega (true value, not a bound)."""
     n = spec.n
     c = normalization(spec)
-    if spec.kind in (RIESZ, HILBERT):
+    if spec.kind == RIESZ:
         return c * abs_coordinate_sphere_integral(n)
     if spec.diagonal:
         root = 1.0 / math.sqrt(n)

@@ -13,10 +13,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import kernels, measures
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, as_positive
 from .rng import (
     LEVELSET,
     LEVELSET_RETRY,
+    check_samples,
     check_seed,
     combine_mean_se,
     generator,
@@ -24,7 +25,6 @@ from .rng import (
     uniform_ball,
 )
 
-MIN_SAMPLES = 1000
 _POLE_TRIES = 64
 _BRACKET_TRIES = 200
 
@@ -49,13 +49,6 @@ class FunctionalEstimate:
     samples: int
     method: str
     threshold: float
-
-
-def _check_threshold(lam):
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError("threshold must be a positive finite number")
-    return lam
 
 
 def _sorted_line_measure(nu):
@@ -150,7 +143,7 @@ def hilbert_levelset_sides(nu, lam, method="vieta"):
     Each positive-side interval opens at a pole; each negative-side interval
     closes at one (the reflection x -> -x swaps the sides).
     """
-    lam = _check_threshold(lam)
+    lam = as_positive(lam, "threshold")
     if method not in _PLUS_SOLVERS:
         raise DomainError("method must be 'vieta' or 'bisection'")
     solve = _PLUS_SOLVERS[method]
@@ -162,11 +155,15 @@ def hilbert_levelset_sides(nu, lam, method="vieta"):
     return plus, minus
 
 
+def sides_volume(plus, minus):
+    """Total length of the intervals of hilbert_levelset_sides."""
+    return math.fsum(r - l for l, r in plus) + math.fsum(r - l for l, r in minus)
+
+
 def hilbert_levelset_exact(nu, lam, method="vieta"):
     """Exact volume of {|T nu| > lam} for the one dimensional kernel."""
     plus, minus = hilbert_levelset_sides(nu, lam, method)
-    total = math.fsum(r - l for l, r in plus) + math.fsum(r - l for l, r in minus)
-    return LevelSetEstimate(total, 0.0, 0, method, lam)
+    return LevelSetEstimate(sides_volume(plus, minus), 0.0, 0, method, lam)
 
 
 @lru_cache(maxsize=None)
@@ -189,16 +186,15 @@ def unit_levelset_constant(n):
 
 def unit_levelset_volume(spec):
     """(volume of {|K| > 1} at unit mass, whether it is a closed form)."""
-    if spec.kind in (kernels.RIESZ, kernels.HILBERT):
+    if spec.kind == kernels.RIESZ:
         return unit_levelset_constant(spec.n), True
     return kernels.sphere_l1_quadrature(spec) / spec.n, False
 
 
 def single_mass_levelset_exact(spec, nu, lam):
     """|{|a K(x - c)| > lam}| = (a / lam) |{|K| > 1}| by -n homogeneity."""
-    lam = _check_threshold(lam)
-    if spec.n != nu.n:
-        raise DomainError("kernel and measure dimensions differ")
+    lam = as_positive(lam, "threshold")
+    kernels.check_dimension(spec, nu)
     if nu.count != 1:
         raise DomainError("closed form requires a single mass; use mc_levelset")
     vol, _ = unit_levelset_volume(spec)
@@ -213,7 +209,7 @@ def covering_radii(spec, nu, lam):
     |T nu| <= sum_k a_k sup|Omega| / rho_k^n = lam, so the open level set
     is contained in the union.
     """
-    lam = _check_threshold(lam)
+    lam = as_positive(lam, "threshold")
     sup = kernels.omega_sup(spec)
     return (nu.count * sup * nu.masses / lam) ** (1.0 / spec.n)
 
@@ -242,11 +238,9 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1):
     r2 is formed once per (sample, mass) pair and gives the pole test, the
     cover count and K, so memory is bounded whatever the number of masses.
     """
-    lam = _check_threshold(lam)
-    if spec.n != nu.n:
-        raise DomainError("kernel and measure dimensions differ")
-    if samples < MIN_SAMPLES:
-        raise DomainError("need at least %d samples" % MIN_SAMPLES)
+    lam = as_positive(lam, "threshold")
+    kernels.check_dimension(spec, nu)
+    check_samples(samples)
     check_seed(seed)
 
     n = spec.n
@@ -256,6 +250,9 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1):
     vball = kernels.ball_volume(n)
     vols = vball * rho**n
     vtot = float(np.sum(vols))
+    # the weights are vtot / cover, and combine_mean_se squares their sum
+    if not math.isfinite((samples * vtot) * (samples * vtot)):
+        raise DomainError("threshold too small: the MC sums overflow; scale nu and it up")
     pick = np.cumsum(vols) / vtot
     centers = nu.centers
     masses = nu.masses
@@ -314,18 +311,17 @@ def levelset_measure(
     single-mass closed form, then Monte Carlo. Exact paths merge duplicate
     centers first; the Monte Carlo path takes the measure as given.
     """
-    if spec.n != nu.n:
-        raise DomainError("kernel and measure dimensions differ")
-    one_dim_exact = spec.n == 1 and spec.kind in (kernels.RIESZ, kernels.HILBERT)
+    kernels.check_dimension(spec, nu)
+    # second-order kernels need n >= 2, so n = 1 is the Hilbert kernel
     if method == "auto":
-        if one_dim_exact:
+        if spec.n == 1:
             method = "vieta"
         elif measures.merge_duplicate_centers(nu).count == 1:
             method = "single-mass"
         else:
             method = "mc"
     if method in ("vieta", "bisection"):
-        if not one_dim_exact:
+        if spec.n != 1:
             raise DomainError("interval solver applies to the n = 1 kernel only")
         return hilbert_levelset_exact(
             measures.merge_duplicate_centers(nu), lam, method

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, PoleError, as_int
+from .errors import DomainError, PoleError, as_int, as_point
 
 POLE_RADIUS = 1e-12
 # (point, mass) pairs per tile of the batched transform: each of a tile's
@@ -109,11 +109,6 @@ def merge_duplicate_centers(nu):
     return PointMassMeasure(nu.n, np.array(keep_masses), np.array(keep_centers))
 
 
-def _check_pair(spec, nu):
-    if spec.n != nu.n:
-        raise DomainError("kernel and measure dimensions disagree")
-
-
 def kernel_tiles(spec, nu, points):
     """(mass slice, r2, K) over tiles of masses, for a batch of points.
 
@@ -155,15 +150,19 @@ def transform_many(spec, nu, points):
     return total
 
 
-def eval_transform(spec, nu, x):
-    """T nu(x) = sum a_k K(x - c_k); x must avoid every pole."""
-    _check_pair(spec, nu)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.n,) or not np.all(np.isfinite(x)):
-        raise DomainError("point must be a finite vector of shape (n,)")
+def _off_poles(spec, nu, x):
+    """(x, |x - c_k|) for a point x farther than POLE_RADIUS from every c_k."""
+    kernels.check_dimension(spec, nu)
+    x = as_point(x, spec.n)
     dists = np.linalg.norm(nu.centers - x, axis=1)
     if np.min(dists) <= POLE_RADIUS:
         raise PoleError("evaluation point within %g of a mass center" % POLE_RADIUS)
+    return x, dists
+
+
+def eval_transform(spec, nu, x):
+    """T nu(x) = sum a_k K(x - c_k); x must avoid every pole."""
+    x, _ = _off_poles(spec, nu, x)
     return float(transform_many(spec, nu, x[None, :])[0])
 
 
@@ -173,13 +172,7 @@ def eval_max_truncation(spec, nu, x):
     For finitely many masses this is the max over the N+1 partial sums taken
     in order of decreasing distance, with equal distances entering together.
     """
-    _check_pair(spec, nu)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.n,) or not np.all(np.isfinite(x)):
-        raise DomainError("point must be a finite vector of shape (n,)")
-    dists = np.linalg.norm(nu.centers - x, axis=1)
-    if np.min(dists) <= POLE_RADIUS:
-        raise PoleError("evaluation point within %g of a mass center" % POLE_RADIUS)
+    x, dists = _off_poles(spec, nu, x)
     terms = nu.masses * kernels.kernel_values(spec, x[None, :] - nu.centers)
     order = np.argsort(-dists, kind="stable")
     d_sorted = dists[order]

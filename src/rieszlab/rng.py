@@ -30,6 +30,8 @@ SEARCH_REEVAL = 10
 # Samples per chunk.  Fixed so that chunk boundaries (and hence results) do
 # not depend on the worker count.
 CHUNK = 1 << 14
+# Fewest samples any Monte Carlo estimate accepts.
+MIN_SAMPLES = 1000
 
 
 def check_seed(seed):
@@ -39,6 +41,13 @@ def check_seed(seed):
     return seed
 
 
+def check_samples(samples):
+    samples = as_int(samples, "sample count")
+    if samples < MIN_SAMPLES:
+        raise DomainError("need at least %d samples" % MIN_SAMPLES)
+    return samples
+
+
 def generator(seed, stream, unit=0, chunk=0):
     """Philox generator for one (seed, stream, unit, chunk) cell."""
     seed = check_seed(seed)
@@ -46,9 +55,9 @@ def generator(seed, stream, unit=0, chunk=0):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
 
 
-def derive_seed(seed, stream, unit=0):
+def derive_seed(seed, stream, unit=0, chunk=0):
     """Deterministic child seed, used when an op needs fresh randomness."""
-    return int(generator(seed, stream, unit).integers(0, 2**63))
+    return int(generator(seed, stream, unit, chunk).integers(0, 2**63))
 
 
 def chunk_sizes(total):
@@ -63,6 +72,8 @@ def run_chunked(total, fn, seed, stream, unit=0, threads=1):
 
     Returns the per-chunk results in chunk order regardless of threads.
     """
+    if as_int(threads, "thread count") < 1:
+        raise DomainError("thread count must be a positive integer")
     sizes = chunk_sizes(total)
 
     def one(c):

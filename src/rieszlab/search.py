@@ -21,6 +21,7 @@ from .rng import (
     SEARCH_ANNEAL,
     SEARCH_INIT,
     SEARCH_REEVAL,
+    check_samples,
     check_seed,
     derive_seed,
     generator,
@@ -52,10 +53,7 @@ class SearchProblem:
     def __post_init__(self):
         if as_int(self.count, "mass count") < 1:
             raise DomainError("mass count must be a positive integer")
-        if self.samples < levelset.MIN_SAMPLES:
-            raise DomainError(
-                "need at least %d samples" % levelset.MIN_SAMPLES
-            )
+        check_samples(self.samples)
         check_seed(self.seed)
         if as_int(self.iterations, "iteration budget") < 1:
             raise DomainError("iteration budget must be a positive integer")
@@ -110,10 +108,6 @@ def _resolve_kind(problem):
     if problem.count * problem.spec.n > _ANNEAL_ABOVE:
         return "simulated-annealing"
     return "nelder-mead"
-
-
-def _child_seed(seed, stream, unit, chunk):
-    return int(generator(seed, stream, unit, chunk).integers(0, 2**63))
 
 
 class _Tracker:
@@ -189,14 +183,14 @@ def optimize(problem, threads=1):
     tracker = _Tracker(problem, threads)
 
     if dim == 0:
-        crn = _child_seed(problem.seed, SEARCH_INIT, 0, 1)
+        crn = derive_seed(problem.seed, SEARCH_INIT, 0, 1)
         tracker.evaluate(np.empty(0), crn)
         complete = True
     else:
         budget = max(dim + 2, problem.iterations // problem.restarts)
         complete = True
         for restart in range(problem.restarts):
-            crn = _child_seed(problem.seed, SEARCH_INIT, restart, 1)
+            crn = derive_seed(problem.seed, SEARCH_INIT, restart, 1)
             if restart == 0:
                 x0 = np.zeros(dim)
             else:

@@ -240,8 +240,13 @@ def test_threads_env_fallback(monkeypatch, capsys, files):
     plain = run_ok(capsys, argv)
     monkeypatch.setenv("RIESZ_LAB_THREADS", "4")
     assert run_ok(capsys, argv) == plain
-    monkeypatch.setenv("RIESZ_LAB_THREADS", "zebra")
-    assert cli.run(argv) == 2
+    # a count below 1 is refused, not read as 1
+    for bad in ("zebra", "0", "-1"):
+        monkeypatch.setenv("RIESZ_LAB_THREADS", bad)
+        assert cli.run(argv) == 2
+    monkeypatch.delenv("RIESZ_LAB_THREADS")
+    assert cli.run(argv + ["--threads", "0"]) == 2
+    assert cli.run(argv + ["--threads", "-1"]) == 2
 
 
 def test_exit_codes(capsys, files, monkeypatch):
@@ -264,3 +269,18 @@ def test_exit_codes(capsys, files, monkeypatch):
         ["levelset", "--measure", files["delta.json"], "--lambda", "1"]
     ) == 3
     capsys.readouterr()
+
+
+def test_hilbert_exact_solves_each_side_once(capsys, files, monkeypatch):
+    solve = cli.levelset._PLUS_SOLVERS["vieta"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setitem(cli.levelset._PLUS_SOLVERS, "vieta", counted)
+    argv = ["hilbert-exact", "--measure", files["delta.json"], "--lambda", "1"]
+    rows = parse_csv(run_ok(capsys, argv))
+    assert len(calls) == 2
+    assert float(rows[-1]["value"]) == pytest.approx(2.0 / math.pi, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_cancellation_zero_density():
     b = GridFunction(1, DyadicCube(-2, (0,)), np.zeros(8))
     res = C.cancellation_integral(K.hilbert(), b, 0.0, np.array([2.0]), 0.5)
     assert res.value == 0.0 and res.ratio == 0.0
+
+
+def test_cancellation_memory_is_bounded():
+    # 1024 quadrature nodes against 1024 points per panel: summed over tiles
+    # of nodes, not as one (points, nodes, n) array
+    b = GridFunction(5, DyadicCube(2, (0, 0)), np.arange(1.0, 65.0).reshape(8, 8))
+    c = np.array([0.125, 0.125])
+    tracemalloc.start()
+    try:
+        C.cancellation_integral(K.riesz(2, 1), b, b.l1_norm, c, math.sqrt(2) / 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_cancellation_validation():

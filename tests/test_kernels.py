@@ -28,11 +28,15 @@ def test_hilbert_is_signed_reciprocal():
         assert K.eval_kernel(spec, [x]) == pytest.approx(1 / (math.pi * x), rel=1e-14)
 
 
+def test_hilbert_is_riesz_of_dimension_one():
+    assert K.hilbert() == K.riesz(1, 1)
+
+
 def test_spec_validation():
     with pytest.raises(DomainError):
         K.KernelSpec(0, K.RIESZ)
     with pytest.raises(DomainError):
-        K.KernelSpec(2, K.HILBERT)
+        K.KernelSpec(2, "hilbert")
     with pytest.raises(DomainError):
         K.second_order(1, 1, 1)
     with pytest.raises(DomainError):

@@ -264,6 +264,20 @@ def test_mc_validation():
         L.mc_levelset(K.riesz(2, 1), nu, 1.0, 5000, seed=1)
 
 
+def test_mc_refuses_thresholds_whose_sums_overflow():
+    # the cover volume grows like 1/lambda: the squared weight sums overflow
+    # (SE 0 at 1e-150, nan at 1e-200) and at 1e-300 K underflows (value 0)
+    nu = M.PointMassMeasure(
+        n=2, masses=np.array([1.0, 2.0]), centers=np.array([[0.0, 0.0], [1.0, 0.0]])
+    )
+    est = L.mc_levelset(K.riesz(2, 1), nu, 1e-100, 20000, seed=3)
+    assert est.value > 0.0
+    assert math.isfinite(est.standard_error) and est.standard_error > 0.0
+    for lam in (1e-150, 1e-200, 1e-300):
+        with pytest.raises(DomainError):
+            L.mc_levelset(K.riesz(2, 1), nu, lam, 20000, seed=3)
+
+
 def test_levelset_monotone_in_threshold():
     gen = np.random.default_rng(53)
     nu = line_measure(gen, 4)

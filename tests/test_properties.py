@@ -1,0 +1,88 @@
+"""Invariances of the weak-type functional, checked on generated measures.
+
+W(nu, lam) = lam |{|T nu| > lam}| / ||nu|| is unchanged by translating nu,
+by dilating space by t together with lam -> lam / t^n (T is -n homogeneous),
+and by scaling the masses and lam by the same factor.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rieszlab import kernels as K
+from rieszlab import levelset as L
+from rieszlab import measures as M
+
+SETTINGS = settings(
+    derandomize=True, database=None, deadline=None, max_examples=40
+)
+
+masses = st.lists(st.floats(0.25, 4.0), min_size=1, max_size=4)
+factors = st.floats(0.125, 8.0)
+
+
+def transformed(nu, lam, shift, t, s):
+    """nu translated by shift, dilated by t and scaled by s, with its lam."""
+    moved = M.PointMassMeasure(nu.n, s * nu.masses, t * (nu.centers + shift))
+    return moved, s * lam / t**nu.n
+
+
+@pytest.mark.parametrize("method", ["vieta", "bisection"])
+@SETTINGS
+@given(
+    a=masses,
+    slots=st.lists(st.integers(-40, 40), min_size=4, max_size=4, unique=True),
+    lam=factors,
+    shift=st.floats(-50.0, 50.0),
+    t=factors,
+    s=factors,
+)
+def test_line_functional_invariances(method, a, slots, lam, shift, t, s):
+    nu = M.PointMassMeasure(1, a, np.array(slots[: len(a)], float)[:, None] / 4)
+    base = L.weaktype_functional(K.hilbert(), nu, lam, method=method).value
+    moved, lam2 = transformed(nu, lam, shift, t, s)
+    got = L.weaktype_functional(K.hilbert(), moved, lam2, method=method).value
+    assert got == pytest.approx(base, rel=1e-9)
+    assert base == pytest.approx(2.0 / np.pi, rel=1e-9)
+
+
+@SETTINGS
+@given(
+    spec=st.sampled_from(
+        [K.riesz(2, 1), K.riesz(3, 2), K.second_order(2, 1, 2), K.second_order(3, 3, 3)]
+    ),
+    a=st.floats(0.25, 4.0),
+    center=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+    lam=factors,
+    shift=st.floats(-50.0, 50.0),
+    t=factors,
+    s=factors,
+)
+def test_single_mass_functional_invariances(spec, a, center, lam, shift, t, s):
+    nu = M.PointMassMeasure(spec.n, [a], [center[: spec.n]])
+    base = L.weaktype_functional(spec, nu, lam).value
+    moved, lam2 = transformed(nu, lam, shift, t, s)
+    got = L.weaktype_functional(spec, moved, lam2)
+    assert got.method == "single-mass"
+    assert got.value == pytest.approx(base, rel=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    a=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=3),
+    centers=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    lam=st.floats(0.5, 2.0),
+    k=st.integers(-60, 60),
+    seed=st.integers(0, 2**32),
+)
+def test_mc_levelset_power_of_two_scaling_is_exact(a, centers, lam, k, seed):
+    # scaling by 2^k is exact in binary, so the draws and the weights agree
+    # to the bit
+    spec = K.riesz(2, 1)
+    pts = np.array(centers[: 2 * len(a)]).reshape(-1, 2)
+    nu = M.PointMassMeasure(2, a, pts)
+    scaled = M.PointMassMeasure(2, np.array(a) * 2.0**k, pts)
+    base = L.mc_levelset(spec, nu, lam, 2000, seed)
+    got = L.mc_levelset(spec, scaled, lam * 2.0**k, 2000, seed)
+    assert (got.value, got.standard_error) == (base.value, base.standard_error)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import rng
+from rieszlab import constructions, kernels, levelset, measures, rng, search
 from rieszlab.errors import DomainError
 
 
@@ -27,6 +27,30 @@ def test_check_seed_bounds():
     for bad in (-1, 2**64, 1.5, "3", None):
         with pytest.raises(DomainError):
             rng.check_seed(bad)
+
+
+def test_thread_count_must_be_positive():
+    def body(gen, size, chunk):
+        return size
+
+    for bad in (0, -1, 1.0):
+        with pytest.raises(DomainError):
+            rng.run_chunked(5000, body, 1, rng.LEVELSET, threads=bad)
+
+
+def test_one_sample_floor_for_every_estimator():
+    # a float count is refused up front, not by a TypeError while chunking
+    spec = kernels.riesz(2, 1)
+    nu = measures.PointMassMeasure(2, np.array([1.0]), np.zeros((1, 2)))
+    for bad in (2000.0, rng.MIN_SAMPLES - 1):
+        with pytest.raises(DomainError):
+            levelset.mc_levelset(spec, nu, 1.0, bad, 1)
+        with pytest.raises(DomainError):
+            kernels.sphere_l1_norm_mc(spec, bad, 1)
+        with pytest.raises(DomainError):
+            constructions.build_exhaustion(nu, 1.0, bad, 1)
+        with pytest.raises(DomainError):
+            search.SearchProblem(spec, 2, bad, 1)
 
 
 def test_derive_seed_stability():
