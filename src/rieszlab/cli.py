@@ -138,7 +138,7 @@ def _cmd_verify_kernel(args):
 
 def _cmd_hilbert_exact(args):
     nu = measures.measure_from_json(_read(args.measure))
-    plus, minus = levelset.hilbert_levelset_sides(nu, args.lam, args.method)
+    plus, minus = levelset.hilbert_levelset_sides(nu, args.lam)
     rows = [("plus", left, right, right - left) for left, right in plus]
     rows += [("minus", left, right, right - left) for left, right in minus]
     volume = levelset.sides_volume(plus, minus)
@@ -306,7 +306,12 @@ def build_parser():
     p = sub.add_parser("hilbert-exact", help="exact 1-D level set intervals")
     p.add_argument("--measure", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--method", choices=("vieta", "bisection"), default="vieta")
+    p.add_argument(
+        "--method",
+        choices=("vieta", "bisection"),
+        default="vieta",
+        help="selects nothing: both names run the one secular-equation solver",
+    )
     common(p)
     p.set_defaults(func=_cmd_hilbert_exact)
 
@@ -320,7 +325,7 @@ def build_parser():
         p.add_argument("--lambda", dest="lam", type=float, required=True)
         p.add_argument(
             "--method",
-            choices=("auto", "vieta", "bisection", "single-mass", "mc"),
+            choices=("auto", "interval", "vieta", "bisection", "single-mass", "mc"),
             default="auto",
         )
         p.add_argument("--samples", type=int, default=None)

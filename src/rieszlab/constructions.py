@@ -168,7 +168,8 @@ def cancellation_integral(spec, b, a, c, r, quad_depth=2):
     if not 0 <= as_int(quad_depth, "quad_depth") <= 6:
         raise DomainError("quad_depth must be an integer in [0, 6]")
     a = float(a)
-    if abs(a - b.l1_norm) > 1e-10 * max(1.0, abs(a)):
+    # written so that a nan or infinite mass fails too
+    if not abs(a - b.l1_norm) <= 1e-10 * max(1.0, b.l1_norm):
         raise DomainError("point mass must equal the density's integral")
 
     # farthest vertex of every positive cell must stay inside B(c, r)
@@ -248,12 +249,13 @@ class ExhaustionSet:
     def contains(self, points):
         points = np.asarray(points, dtype=float)
         own = np.linalg.norm(points - self.center, axis=-1) < self.radius
-        if len(self.prior_radii):
-            d = np.linalg.norm(
-                points[..., None, :] - self.prior_centers, axis=-1
-            )
-            own &= np.all(d >= self.prior_radii, axis=-1)
-        return own
+        return own & _outside_balls(points, self.prior_centers, self.prior_radii)
+
+
+def _outside_balls(points, centers, radii):
+    """Whether each point lies outside every ball B(centers[k], radii[k])."""
+    d = np.linalg.norm(points[..., None, :] - centers, axis=-1)
+    return np.all(d >= radii, axis=-1)
 
 
 def _freeze(arr):
@@ -303,11 +305,7 @@ def build_exhaustion(nu, lam, mc_samples, seed):
             gen = generator(seed, EXHAUSTION, unit=k, chunk=grow)
             pool = center + r_hi * uniform_ball(gen, mc_samples, n)
             own = np.linalg.norm(pool - center, axis=1)
-            fresh = np.all(
-                np.linalg.norm(pool[:, None, :] - prior_centers, axis=2)
-                >= prior_radii,
-                axis=1,
-            )
+            fresh = _outside_balls(pool, prior_centers, prior_radii)
             vol_hi = vball * r_hi**n
 
             def estimate(radius):

@@ -1,6 +1,6 @@
 """Level sets of kernel transforms of point masses.
 
-Exact interval solvers for the one dimensional kernel, a closed form for a
+An exact interval solver for the one dimensional kernel, a closed form for a
 single mass in any dimension, and a covering-ball Monte Carlo estimator for
 everything else. All estimators report the volume of {|T nu| > lambda}.
 """
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.linalg.lapack import dlasd4
 
 from . import kernels, measures
 from .errors import DomainError, ToleranceError, as_positive
@@ -26,7 +26,6 @@ from .rng import (
 )
 
 _POLE_TRIES = 64
-_BRACKET_TRIES = 200
 
 
 @dataclass(frozen=True)
@@ -65,91 +64,46 @@ def _sorted_line_measure(nu):
     return a, c
 
 
-def _line_transform(a, c, x):
-    return float(np.sum(a / (x - c)) / math.pi)
+def _plus_roots(a, c, lam):
+    """Right endpoints of {T nu > lam}, one per pole, for sorted centers c.
 
-
-def _plus_roots_vieta(a, c, lam):
-    """Right endpoints of {T nu > lam}, one per pole, via the companion matrix.
-
-    The endpoints are the roots of pi lam prod(x - c_k) = sum_k a_k
-    prod_{j != k}(x - c_j); centering and scaling the poles first keeps the
-    polynomial well conditioned.
+    The endpoints solve the secular equation sum_k w_k / (x - c_k) = 1 with
+    w = a / (pi lam), one in each gap (c_i, c_{i+1}) and one beyond c_max.
+    With d = sqrt(c - c_0), sigma^2 = x - c_0 and rho z^2 = w it is LAPACK's
+    singular value secular equation 1 + rho sum z_k^2 / (d_k^2 - sigma^2) = 0,
+    which dlasd4 solves stably in O(N) per root (R.-C. Li, LAPACK Working
+    Note 89). It returns d_k - sigma and d_k + sigma, whose product gives
+    x_i - c_i to relative accuracy; adding c_i rounds it once more.
     """
-    mu = float(np.mean(c))
-    s = float(np.max(np.abs(c - mu)))
-    if s == 0.0:
-        s = 1.0
-    cs = (c - mu) / s
-    coeffs = math.pi * lam * s * np.poly(cs)
-    for k in range(len(cs)):
-        coeffs[1:] -= a[k] * np.poly(np.delete(cs, k))
-    roots = np.roots(coeffs)
-    spread = max(1.0, float(np.max(np.abs(roots.real))))
-    if roots.size and float(np.max(np.abs(roots.imag))) > 1e-7 * spread:
-        raise ToleranceError("interval endpoints lost accuracy to rounding")
-    return np.sort(roots.real) * s + mu
+    w = a / (math.pi * lam)
+    if len(c) == 1:
+        return c + w
+    rho = float(np.sum(w))
+    # an exact power-of-two rescaling keeps d^2 and rho below 1 inside LAPACK
+    s = math.ldexp(1.0, math.frexp(max(c[-1] - c[0], rho))[1])
+    d = np.sqrt((c - c[0]) / s)
+    if not np.all(np.diff(d) > 0.0):
+        raise ToleranceError("poles merged when shifted; interval endpoints lost")
+    z = np.sqrt(w / rho)
+    length = np.empty(len(c))
+    for i in range(len(c)):
+        delta, _, work, info = dlasd4(i, d, z, rho / s)
+        length[i] = -delta[i] * work[i] * s
+        if info != 0 or not math.isfinite(length[i]):
+            raise ToleranceError("secular equation solver did not converge")
+    return c + length
 
 
-def _plus_roots_bisection(a, c, lam):
-    """Same endpoints, one bracketed root per gap between consecutive poles."""
-
-    def f(x):
-        return _line_transform(a, c, x) - lam
-
-    tv = float(np.sum(a))
-    roots = []
-    for k in range(len(c)):
-        left = c[k]
-        if k + 1 < len(c):
-            # the transform falls to -inf at the next pole
-            off = (c[k + 1] - left) / 4.0
-            hi = c[k + 1] - off
-            for _ in range(_BRACKET_TRIES):
-                if f(hi) < 0.0:
-                    break
-                off /= 2.0
-                hi = c[k + 1] - off
-            else:
-                raise ToleranceError("could not bracket an interval endpoint")
-        else:
-            # beyond the last pole T nu <= tv / (pi (x - c_max))
-            hi = left + tv / (math.pi * lam)
-            for _ in range(_BRACKET_TRIES):
-                if f(hi) < 0.0:
-                    break
-                hi = left + 2.0 * (hi - left)
-            else:
-                raise ToleranceError("could not bracket an interval endpoint")
-        off = (hi - left) / 2.0
-        lo = left + off
-        for _ in range(_BRACKET_TRIES):
-            if f(lo) > 0.0:
-                break
-            off /= 2.0
-            lo = left + off
-        else:
-            raise ToleranceError("could not bracket an interval endpoint")
-        roots.append(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16))
-    return np.asarray(roots)
-
-
-_PLUS_SOLVERS = {"vieta": _plus_roots_vieta, "bisection": _plus_roots_bisection}
-
-
-def hilbert_levelset_sides(nu, lam, method="vieta"):
+def hilbert_levelset_sides(nu, lam):
     """Intervals of {T nu > lam} and {T nu < -lam} on the line.
 
     Each positive-side interval opens at a pole; each negative-side interval
     closes at one (the reflection x -> -x swaps the sides).
     """
     lam = as_positive(lam, "threshold")
-    if method not in _PLUS_SOLVERS:
-        raise DomainError("method must be 'vieta' or 'bisection'")
-    solve = _PLUS_SOLVERS[method]
     a, c = _sorted_line_measure(nu)
-    rp = solve(a, c, lam)
-    rm = solve(a[::-1], -c[::-1], lam)
+    rp = _plus_roots(a, c, lam)
+    rm = _plus_roots(a[::-1], -c[::-1], lam)
     plus = [(float(c[k]), float(rp[k])) for k in range(len(c))]
     minus = [(-float(rm[k]), float(c[::-1][k])) for k in range(len(c))][::-1]
     return plus, minus
@@ -160,10 +114,10 @@ def sides_volume(plus, minus):
     return math.fsum(r - l for l, r in plus) + math.fsum(r - l for l, r in minus)
 
 
-def hilbert_levelset_exact(nu, lam, method="vieta"):
+def hilbert_levelset_exact(nu, lam):
     """Exact volume of {|T nu| > lam} for the one dimensional kernel."""
-    plus, minus = hilbert_levelset_sides(nu, lam, method)
-    return LevelSetEstimate(sides_volume(plus, minus), 0.0, 0, method, lam)
+    plus, minus = hilbert_levelset_sides(nu, lam)
+    return LevelSetEstimate(sides_volume(plus, minus), 0.0, 0, "interval", lam)
 
 
 @lru_cache(maxsize=None)
@@ -307,25 +261,24 @@ def levelset_measure(
 ):
     """Volume of {|T nu| > lam}, routed to the best available estimator.
 
-    auto prefers the exact interval solver in dimension 1, then the
-    single-mass closed form, then Monte Carlo. Exact paths merge duplicate
-    centers first; the Monte Carlo path takes the measure as given.
+    auto prefers the exact interval solver in dimension 1 (method interval,
+    also accepted as vieta or bisection), then the single-mass closed form,
+    then Monte Carlo. Exact paths merge duplicate centers first; the Monte
+    Carlo path takes the measure as given.
     """
     kernels.check_dimension(spec, nu)
     # second-order kernels need n >= 2, so n = 1 is the Hilbert kernel
     if method == "auto":
         if spec.n == 1:
-            method = "vieta"
+            method = "interval"
         elif measures.merge_duplicate_centers(nu).count == 1:
             method = "single-mass"
         else:
             method = "mc"
-    if method in ("vieta", "bisection"):
+    if method in ("interval", "vieta", "bisection"):
         if spec.n != 1:
             raise DomainError("interval solver applies to the n = 1 kernel only")
-        return hilbert_levelset_exact(
-            measures.merge_duplicate_centers(nu), lam, method
-        )
+        return hilbert_levelset_exact(measures.merge_duplicate_centers(nu), lam)
     if method == "single-mass":
         return single_mass_levelset_exact(
             spec, measures.merge_duplicate_centers(nu), lam

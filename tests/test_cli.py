@@ -110,7 +110,7 @@ def test_levelset_and_weaktype_rows(capsys, files):
             ["levelset", "--measure", files["delta.json"], "--lambda", "1"],
         )
     )
-    assert rows[0]["method"] == "vieta"
+    assert rows[0]["method"] == "interval"
     assert float(rows[0]["value"]) == pytest.approx(2.0 / math.pi, rel=1e-12)
     argv = [
         "weaktype", "--measure", files["pair.json"], "--lambda", "1",
@@ -158,6 +158,14 @@ def test_cancellation_row(capsys, files):
     )
     rows = parse_csv(out)
     assert float(rows[0]["value"]) == pytest.approx(0.1953485717, rel=1e-5)
+
+
+def test_cancellation_non_finite_mass_exits_2(capsys, files):
+    for bad in ("nan", "inf"):
+        argv = ["cancellation", "--n", "1", "--density", files["grid.json"],
+                "--center", "2", "--radius", "0.5", "--mass", bad]
+        assert cli.run(argv) == 2
+    capsys.readouterr()
 
 
 def test_exhaustion_table(capsys, files):
@@ -272,14 +280,14 @@ def test_exit_codes(capsys, files, monkeypatch):
 
 
 def test_hilbert_exact_solves_each_side_once(capsys, files, monkeypatch):
-    solve = cli.levelset._PLUS_SOLVERS["vieta"]
+    solve = cli.levelset._plus_roots
     calls = []
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setitem(cli.levelset._PLUS_SOLVERS, "vieta", counted)
+    monkeypatch.setattr(cli.levelset, "_plus_roots", counted)
     argv = ["hilbert-exact", "--measure", files["delta.json"], "--lambda", "1"]
     rows = parse_csv(run_ok(capsys, argv))
     assert len(calls) == 2

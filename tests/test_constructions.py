@@ -113,6 +113,13 @@ def test_cancellation_validation():
         C.cancellation_integral(spec, b, b.l1_norm, c, math.inf)
 
 
+def test_cancellation_rejects_non_finite_mass():
+    b, c, r = uniform_hilbert_density(0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            C.cancellation_integral(K.hilbert(), b, bad, c, r)
+
+
 def test_cancellation_hilbert_reference():
     # mass-one uniform density vs its point mass: the integral of
     # |(1/pi)(2 artanh(r/u) - r/u)| over |u| > r is scale free,

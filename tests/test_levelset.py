@@ -1,13 +1,15 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from rieszlab import decomposition as D
 from rieszlab import kernels as K
 from rieszlab import levelset as L
 from rieszlab import measures as M
-from rieszlab.errors import DomainError
+from rieszlab.errors import DomainError, ToleranceError
 
 
 def line_measure(gen, count):
@@ -32,26 +34,15 @@ def test_two_pole_frozen_interval_solution():
     assert est.standard_error == 0.0 and est.samples == 0
 
 
-@pytest.mark.parametrize("method,tol", [("vieta", 1e-10), ("bisection", 1e-8)])
-def test_line_functional_constant(method, tol):
+def test_line_functional_constant():
     # lambda |{|T nu| > lambda}| / ||nu|| = 2/pi for every positive measure
     gen = np.random.default_rng(17)
     for count in (1, 2, 3, 5, 8):
         nu = line_measure(gen, count)
         for lam in (0.5, 1.0, 2.0):
-            est = L.hilbert_levelset_exact(nu, lam, method)
+            est = L.hilbert_levelset_exact(nu, lam)
             got = lam * est.value / M.total_variation(nu)
-            assert got == pytest.approx(2.0 / math.pi, rel=tol)
-
-
-def test_interval_methods_agree():
-    gen = np.random.default_rng(23)
-    for count in (2, 4, 7):
-        nu = line_measure(gen, count)
-        pv, mv = L.hilbert_levelset_sides(nu, 0.8, "vieta")
-        pb, mb = L.hilbert_levelset_sides(nu, 0.8, "bisection")
-        assert np.allclose(pv, pb, rtol=1e-8, atol=1e-10)
-        assert np.allclose(mv, mb, rtol=1e-8, atol=1e-10)
+            assert got == pytest.approx(2.0 / math.pi, rel=1e-10)
 
 
 def test_sides_structure():
@@ -77,6 +68,63 @@ def test_sides_structure():
     assert math.fsum(r - l for l, r in minus) == pytest.approx(
         tv / (math.pi * lam), rel=1e-10
     )
+
+
+def assert_line_identity(nu):
+    for lam in (0.5, 1.0, 2.0):
+        got = lam * L.hilbert_levelset_exact(nu, lam).value / M.total_variation(nu)
+        assert got == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 50, 120, 1000])
+def test_line_identity_up_to_a_thousand_masses(count):
+    nu = line_measure(np.random.default_rng(count), count)
+    start = time.perf_counter()
+    L.hilbert_levelset_sides(nu, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert_line_identity(nu)
+
+
+def test_line_identity_on_cz_point_masses():
+    # two bumps of a level-6 grid on [0, 1), split at depth 9: 43 masses
+    x = (np.arange(64) + 0.5) / 64
+    inside = (np.abs(x - 0.3) < 0.12) | (np.abs(x - 0.72) < 0.07)
+    r2 = (x - 0.5) ** 2
+    values = np.where(inside, 1.25 + np.cos(7.0 * r2), 0.75 * np.exp(-r2))
+    f = D.GridFunction(6, D.DyadicCube(0, (0,)), values)
+    nu = D.cz_decompose(f, 1.0, 9).point_masses
+    assert nu.count > 40
+    assert_line_identity(nu)
+
+
+@pytest.mark.parametrize(
+    "centers,lam",
+    [
+        (np.sort(np.random.default_rng(5).uniform(-1e6, 1e6, 40)), 1.0),
+        (np.arange(30) * 1e-6, 1e3),
+    ],
+)
+def test_interval_endpoints_solve_the_level_equation(centers, lam):
+    a = np.random.default_rng(7).uniform(0.2, 3.0, len(centers))
+    nu = M.PointMassMeasure(1, a, centers[:, None])
+    plus, minus = L.hilbert_levelset_sides(nu, lam)
+    for (_, r), (l, _) in zip(plus, minus):
+        assert np.sum(a / (r - centers)) / math.pi == pytest.approx(lam, rel=1e-9)
+        assert np.sum(a / (l - centers)) / math.pi == pytest.approx(-lam, rel=1e-9)
+
+
+def test_line_identity_with_huge_masses():
+    # {T nu > 1} runs about 6e299 past the last pole but about 1/2 past the first
+    nu = M.PointMassMeasure(1, np.array([1e300, 1e300]), np.array([[0.0], [1.0]]))
+    got = L.hilbert_levelset_exact(nu, 1.0).value / 2e300
+    assert got == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+
+def test_poles_merged_by_rounding_raise():
+    # shifted to the first pole the last two centers round to one point
+    nu = M.PointMassMeasure(1, np.ones(3), np.array([[-1e20], [1.0], [1.0 + 2**-52]]))
+    with pytest.raises(ToleranceError):
+        L.hilbert_levelset_exact(nu, 1.0)
 
 
 def test_exact_solver_rejects_duplicates_and_bad_threshold():
@@ -293,7 +341,7 @@ def test_router_and_functional():
         centers=np.array([[0.0], [0.0], [2.0]]),
     )
     est = L.weaktype_functional(K.hilbert(), dup, 0.7)
-    assert est.method == "vieta"
+    assert est.method == "interval"
     assert est.value == pytest.approx(2.0 / math.pi, rel=1e-10)
 
     one = M.PointMassMeasure(n=4, masses=np.array([3.0]), centers=np.zeros((1, 4)))

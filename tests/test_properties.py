@@ -1,15 +1,20 @@
-"""Invariances of the weak-type functional, checked on generated measures.
+"""Properties checked on generated measures, cell unions and grids.
 
 W(nu, lam) = lam |{|T nu| > lam}| / ||nu|| is unchanged by translating nu,
 by dilating space by t together with lam -> lam / t^n (T is -n homogeneous),
-and by scaling the masses and lam by the same factor.
+and by scaling the masses and lam by the same factor. Whitney cubes and
+residual cells tile their set exactly and keep their separation, and a CZ
+split reconstructs its grid function exactly.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rieszlab import decomposition as D
 from rieszlab import kernels as K
 from rieszlab import levelset as L
 from rieszlab import measures as M
@@ -28,7 +33,6 @@ def transformed(nu, lam, shift, t, s):
     return moved, s * lam / t**nu.n
 
 
-@pytest.mark.parametrize("method", ["vieta", "bisection"])
 @SETTINGS
 @given(
     a=masses,
@@ -38,11 +42,11 @@ def transformed(nu, lam, shift, t, s):
     t=factors,
     s=factors,
 )
-def test_line_functional_invariances(method, a, slots, lam, shift, t, s):
+def test_line_functional_invariances(a, slots, lam, shift, t, s):
     nu = M.PointMassMeasure(1, a, np.array(slots[: len(a)], float)[:, None] / 4)
-    base = L.weaktype_functional(K.hilbert(), nu, lam, method=method).value
+    base = L.weaktype_functional(K.hilbert(), nu, lam).value
     moved, lam2 = transformed(nu, lam, shift, t, s)
-    got = L.weaktype_functional(K.hilbert(), moved, lam2, method=method).value
+    got = L.weaktype_functional(K.hilbert(), moved, lam2).value
     assert got == pytest.approx(base, rel=1e-9)
     assert base == pytest.approx(2.0 / np.pi, rel=1e-9)
 
@@ -86,3 +90,72 @@ def test_mc_levelset_power_of_two_scaling_is_exact(a, centers, lam, k, seed):
     base = L.mc_levelset(spec, nu, lam, 2000, seed)
     got = L.mc_levelset(spec, scaled, lam * 2.0**k, 2000, seed)
     assert (got.value, got.standard_error) == (base.value, base.standard_error)
+
+
+# fine lattice levels below the cell level, as in the Whitney unit tests
+DEPTH = {1: 6, 2: 4}
+
+
+@st.composite
+def cell_unions(draw):
+    n = draw(st.sampled_from([1, 2]))
+    cell = st.tuples(*[st.integers(-4, 4)] * n)
+    cells = draw(st.lists(cell, min_size=1, max_size=10, unique=True))
+    return D.CellUnion(n, draw(st.integers(0, 1)), tuple(cells))
+
+
+def fine_cells(cube_level, coords, fine_level):
+    s = fine_level - cube_level
+    return itertools.product(*(range(c << s, (c + 1) << s) for c in coords))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(union=cell_unions())
+def test_whitney_tiles_and_separates_exactly(union):
+    n, level = union.n, union.level
+    m = level + DEPTH[n]
+    cubes, residual = D.whitney_decompose(union, m)
+    assert all(cell.level == m for cell in residual)
+    # cubes plus residual cover every fine cell of U exactly once
+    painted = [f for q in cubes + residual for f in fine_cells(q.level, q.coords, m)]
+    want = [f for c in union.cells for f in fine_cells(level, c, m)]
+    assert sorted(painted) == sorted(want)
+    # (2n - 1) diam(Q) <= dist(Q, complement of U), squared, in fine units;
+    # the nearest complement cell touches U, so the layer around U suffices
+    layer = {
+        tuple(x + o for x, o in zip(c, offset))
+        for c in union.cells
+        for offset in itertools.product((-1, 0, 1), repeat=n)
+    } - set(union.cells)
+    t = m - level
+    for q in cubes:
+        s = m - q.level
+        dist2 = min(
+            sum(
+                max(0, (e << t) - ((c + 1) << s), (c << s) - ((e + 1) << t)) ** 2
+                for c, e in zip(q.coords, out)
+            )
+            for out in layer
+        )
+        assert (2 * n - 1) ** 2 * n * 4**s <= dist2
+
+
+@st.composite
+def grids(draw):
+    n = draw(st.sampled_from([1, 2]))
+    corner = tuple(draw(st.integers(-2, 1)) for _ in range(n))
+    box = D.DyadicCube(draw(st.integers(-1, 1)), corner)
+    level = box.level + draw(st.integers(1, 3 if n == 1 else 2))
+    side = 1 << (level - box.level)
+    # sixteenths are exact, so reconstruction must agree to the bit
+    count = side**n
+    values = draw(st.lists(st.integers(0, 63), min_size=count, max_size=count))
+    return D.GridFunction(level, box, np.array(values) / 16.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(f=grids(), lam=st.sampled_from([0.25, 1.0, 2.5]))
+def test_cz_reconstructs_exactly(f, lam):
+    cz = D.cz_decompose(f, lam, f.level + 2)
+    rec = cz.reconstruct()
+    assert np.array_equal(rec.values, f.refined_values(rec.level))
