@@ -34,15 +34,20 @@ def test_two_pole_frozen_interval_solution():
     assert est.standard_error == 0.0 and est.samples == 0
 
 
-def test_line_functional_constant():
-    # lambda |{|T nu| > lambda}| / ||nu|| = 2/pi for every positive measure
+@pytest.mark.parametrize("method,tol", [("vieta", 1e-10), ("bisection", 1e-8)])
+def test_line_functional_constant(method, tol):
+    # lambda |{|T nu| > lambda}| / ||nu|| = 2/pi for every positive measure;
+    # the legacy method names route to the one interval solver, so every
+    # name gives the same value and all meet the tighter vieta bound
     gen = np.random.default_rng(17)
     for count in (1, 2, 3, 5, 8):
         nu = line_measure(gen, count)
         for lam in (0.5, 1.0, 2.0):
-            est = L.hilbert_levelset_exact(nu, lam)
+            est = L.levelset_measure(K.hilbert(), nu, lam, method=method)
+            assert est.value == L.hilbert_levelset_exact(nu, lam).value
+            assert est.method == "interval"
             got = lam * est.value / M.total_variation(nu)
-            assert got == pytest.approx(2.0 / math.pi, rel=1e-10)
+            assert got == pytest.approx(2.0 / math.pi, rel=min(tol, 1e-10))
 
 
 def test_sides_structure():

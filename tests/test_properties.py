@@ -33,6 +33,7 @@ def transformed(nu, lam, shift, t, s):
     return moved, s * lam / t**nu.n
 
 
+@pytest.mark.parametrize("method", ["vieta", "bisection"])
 @SETTINGS
 @given(
     a=masses,
@@ -42,11 +43,11 @@ def transformed(nu, lam, shift, t, s):
     t=factors,
     s=factors,
 )
-def test_line_functional_invariances(a, slots, lam, shift, t, s):
+def test_line_functional_invariances(method, a, slots, lam, shift, t, s):
     nu = M.PointMassMeasure(1, a, np.array(slots[: len(a)], float)[:, None] / 4)
-    base = L.weaktype_functional(K.hilbert(), nu, lam).value
+    base = L.weaktype_functional(K.hilbert(), nu, lam, method=method).value
     moved, lam2 = transformed(nu, lam, shift, t, s)
-    got = L.weaktype_functional(K.hilbert(), moved, lam2).value
+    got = L.weaktype_functional(K.hilbert(), moved, lam2, method=method).value
     assert got == pytest.approx(base, rel=1e-9)
     assert base == pytest.approx(2.0 / np.pi, rel=1e-9)
 
