@@ -138,10 +138,9 @@ def _cmd_verify_kernel(args):
 
 def _cmd_hilbert_exact(args):
     nu = measures.measure_from_json(_read(args.measure))
-    plus, minus = levelset.hilbert_levelset_sides(nu, args.lam)
+    plus, minus, volume = levelset.hilbert_levelset_intervals(nu, args.lam)
     rows = [("plus", left, right, right - left) for left, right in plus]
     rows += [("minus", left, right, right - left) for left, right in minus]
-    volume = levelset.sides_volume(plus, minus)
     total = args.lam * volume / measures.total_variation(nu)
     rows.append(("total", None, None, total))
     _emit(args, _csv(("side", "left", "right", "value"), rows))

@@ -1,8 +1,9 @@
 """Level sets of kernel transforms of point masses.
 
 An exact interval solver for the one dimensional kernel, a closed form for a
-single mass in any dimension, and a covering-ball Monte Carlo estimator for
-everything else. All estimators report the volume of {|T nu| > lambda}.
+single mass in any dimension, and a Monte Carlo estimator for everything
+else, drawing from covering balls mixed with the kernel's own stars. All
+estimators report the volume of {|T nu| > lambda}.
 """
 
 import math
@@ -19,13 +20,18 @@ from .rng import (
     LEVELSET_RETRY,
     check_samples,
     check_seed,
+    chunk_sizes,
     combine_mean_se,
     generator,
     run_chunked,
     uniform_ball,
+    uniform_star,
 )
 
 _POLE_TRIES = 64
+# share of each chunk that mc_levelset draws from the covering balls when it
+# also draws from the stars: the defensive part of the mixture
+BALL_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -65,19 +71,20 @@ def _sorted_line_measure(nu):
 
 
 def _plus_roots(a, c, lam):
-    """Right endpoints of {T nu > lam}, one per pole, for sorted centers c.
+    """Lengths x_i - c_i of the intervals of {T nu > lam}, one per pole, for
+    sorted centers c; each interval opens at its pole c_i.
 
-    The endpoints solve the secular equation sum_k w_k / (x - c_k) = 1 with
-    w = a / (pi lam), one in each gap (c_i, c_{i+1}) and one beyond c_max.
-    With d = sqrt(c - c_0), sigma^2 = x - c_0 and rho z^2 = w it is LAPACK's
-    singular value secular equation 1 + rho sum z_k^2 / (d_k^2 - sigma^2) = 0,
-    which dlasd4 solves stably in O(N) per root (R.-C. Li, LAPACK Working
-    Note 89). It returns d_k - sigma and d_k + sigma, whose product gives
-    x_i - c_i to relative accuracy; adding c_i rounds it once more.
+    The right endpoints solve the secular equation sum_k w_k / (x - c_k) = 1
+    with w = a / (pi lam), one in each gap (c_i, c_{i+1}) and one beyond
+    c_max. With d = sqrt(c - c_0), sigma^2 = x - c_0 and rho z^2 = w it is
+    LAPACK's singular value secular equation
+    1 + rho sum z_k^2 / (d_k^2 - sigma^2) = 0, which dlasd4 solves stably in
+    O(N) per root (R.-C. Li, LAPACK Working Note 89). It returns d_k - sigma
+    and d_k + sigma, whose product gives x_i - c_i to relative accuracy.
     """
     w = a / (math.pi * lam)
     if len(c) == 1:
-        return c + w
+        return w
     rho = float(np.sum(w))
     # an exact power-of-two rescaling keeps d^2 and rho below 1 inside LAPACK
     s = math.ldexp(1.0, math.frexp(max(c[-1] - c[0], rho))[1])
@@ -91,33 +98,40 @@ def _plus_roots(a, c, lam):
         length[i] = -delta[i] * work[i] * s
         if info != 0 or not math.isfinite(length[i]):
             raise ToleranceError("secular equation solver did not converge")
-    return c + length
+    return length
 
 
-def hilbert_levelset_sides(nu, lam):
-    """Intervals of {T nu > lam} and {T nu < -lam} on the line.
+def hilbert_levelset_intervals(nu, lam):
+    """(plus, minus, volume): the intervals of {T nu > lam} and {T nu < -lam}
+    on the line as (left, right) pairs, and their total length.
 
     Each positive-side interval opens at a pole; each negative-side interval
-    closes at one (the reflection x -> -x swaps the sides).
+    closes at one (the reflection x -> -x swaps the sides). The volume sums
+    the lengths that _plus_roots finds to relative accuracy, not right - left
+    of the rounded endpoints, so an interval shorter than the spacing of
+    doubles near its pole still counts.
     """
     lam = as_positive(lam, "threshold")
     a, c = _sorted_line_measure(nu)
-    rp = _plus_roots(a, c, lam)
-    rm = _plus_roots(a[::-1], -c[::-1], lam)
+    lp = _plus_roots(a, c, lam)
+    lm = _plus_roots(a[::-1], -c[::-1], lam)
+    rp = c + lp
+    rm = -c[::-1] + lm
     plus = [(float(c[k]), float(rp[k])) for k in range(len(c))]
     minus = [(-float(rm[k]), float(c[::-1][k])) for k in range(len(c))][::-1]
+    return plus, minus, math.fsum(lp) + math.fsum(lm)
+
+
+def hilbert_levelset_sides(nu, lam):
+    """Intervals of {T nu > lam} and {T nu < -lam} on the line."""
+    plus, minus, _ = hilbert_levelset_intervals(nu, lam)
     return plus, minus
-
-
-def sides_volume(plus, minus):
-    """Total length of the intervals of hilbert_levelset_sides."""
-    return math.fsum(r - l for l, r in plus) + math.fsum(r - l for l, r in minus)
 
 
 def hilbert_levelset_exact(nu, lam):
     """Exact volume of {|T nu| > lam} for the one dimensional kernel."""
-    plus, minus = hilbert_levelset_sides(nu, lam)
-    return LevelSetEstimate(sides_volume(plus, minus), 0.0, 0, "interval", lam)
+    _, _, volume = hilbert_levelset_intervals(nu, lam)
+    return LevelSetEstimate(volume, 0.0, 0, "interval", lam)
 
 
 @lru_cache(maxsize=None)
@@ -168,91 +182,185 @@ def covering_radii(spec, nu, lam):
     return (nu.count * sup * nu.masses / lam) ** (1.0 / spec.n)
 
 
+def star_thresholds(nu, lam):
+    """Shares t_k = lam s_k / sum(s) of lam, with s_k = sqrt(a_k / max a).
+
+    They sum to lam, so where |T nu| > lam some a_k |K(x - c_k)| exceeds
+    t_k: the stars S_k = {a_k |K(. - c_k)| > t_k} cover the level set. Their
+    total volume (sum_k a_k / t_k) |{|K| > 1}| is least for t proportional
+    to sqrt(a). Dividing by max a before the square root keeps the shares
+    exact when the masses and lam are scaled by a power of two.
+    """
+    s = np.sqrt(nu.masses / nu.masses.max())
+    return lam * s / s.sum()
+
+
+class _Proposal:
+    """Where mc_levelset draws its points, and the density it weights by.
+
+    Ball rows come from the covering balls, ball k with probability
+    proportional to its volume. For Riesz kernels with n >= 2 a chunk's
+    first round(BALL_SHARE * size) rows are ball rows and the rest come from
+    the stars of star_thresholds, star k with probability proportional to
+    |S_k| = (a_k / t_k) 2 / (pi n). Elsewhere every row is a ball row.
+    """
+
+    def __init__(self, spec, nu, lam):
+        n = spec.n
+        self.spec, self.nu, self.lam = spec, nu, lam
+        self.rho = covering_radii(spec, nu, lam / 2.0 if n == 1 else lam)
+        self.rho2 = self.rho * self.rho
+        vols = kernels.ball_volume(n) * self.rho**n
+        self.vtot = float(np.sum(vols))
+        self.ball_pick = np.cumsum(vols) / self.vtot
+        self.t = None
+        if spec.kind == kernels.RIESZ and n >= 2:
+            self.t = star_thresholds(nu, lam)
+            reach = nu.masses / self.t
+            vols = reach * unit_levelset_constant(n)
+            self.vstar = float(np.sum(vols))
+            self.star_pick = np.cumsum(vols) / self.vstar
+            # S_k is c_k plus the unit star of uniform_star scaled by this
+            self.scale = (reach * kernels.normalization(spec)) ** (1.0 / n)
+
+    def ball_rows(self, size):
+        return size if self.t is None else round(BALL_SHARE * size)
+
+    def max_weight(self, samples):
+        """min(V_ball / alpha, V_star / (1 - alpha)), alpha the share of ball
+        rows over the chunks of `samples` (V_ball with the balls alone).
+
+        Wherever the level set is, q >= alpha / V_ball and
+        q >= (1 - alpha) / V_star, so this bounds the weight of a hit (up to
+        the rounding of each chunk's share), and a draw hits with
+        probability at least |set| / bound.
+        """
+        if self.t is None:
+            return self.vtot
+        share = sum(map(self.ball_rows, chunk_sizes(samples))) / samples
+        return min(self.vtot / share, self.vstar / (1.0 - share))
+
+    def draw(self, gen, size, balls):
+        """(mass index, point) per row; the first `balls` rows from the balls."""
+        nu, n = self.nu, self.spec.n
+        u = gen.random(size)
+        idx = np.empty(size, dtype=np.intp)
+        idx[:balls] = np.searchsorted(self.ball_pick, u[:balls], side="right")
+        if balls < size:
+            idx[balls:] = np.searchsorted(self.star_pick, u[balls:], side="right")
+        np.minimum(idx, nu.count - 1, out=idx)
+        pts = np.take(nu.centers, idx, axis=0)
+        pts[:balls] += self.rho[idx[:balls], None] * uniform_ball(gen, balls, n)
+        if balls < size:
+            scale = self.scale[idx[balls:]]
+            pts[balls:] += uniform_star(gen, size - balls, n, self.spec.j - 1, scale)
+        return idx, pts
+
+    def evaluate(self, pts):
+        """(|T nu| > lam, balls and stars that hold the row, at a pole).
+
+        One pass over tiles of masses (measures.kernel_tiles): r2 is formed
+        once per (row, mass) pair and gives the pole test, the ball count
+        and K; a_k K gives the star count and T nu.
+        """
+        rows = pts.shape[0]
+        total = np.zeros(rows)
+        cover = np.zeros(rows, dtype=np.int32)
+        star = np.zeros(rows, dtype=np.int32)
+        pole = np.zeros(rows, dtype=bool)
+        pole2 = measures.POLE_RADIUS**2
+        masses, t = self.nu.masses, self.t
+        # rows at a pole carry inf or nan; they are redrawn by the caller
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for tile, r2, vals in measures.kernel_tiles(self.spec, self.nu, pts):
+                pole |= np.any(r2 <= pole2, axis=0)
+                cover += np.sum(r2 <= self.rho2[tile, None], axis=0, dtype=np.int32)
+                vals *= masses[tile, None]
+                if t is not None:
+                    star += np.sum(
+                        np.abs(vals) > t[tile, None], axis=0, dtype=np.int32
+                    )
+                total += vals.sum(axis=0)
+        return np.abs(total) > self.lam, cover, star, pole
+
+    def weights(self, hit, cover, star, balls):
+        """1 / q at the hits and 0 elsewhere, for a chunk with `balls` ball rows.
+
+        q mixes the ball and star densities cover / V_ball and star / V_star
+        in the chunk's own shares (a deterministic mixture allocation, Owen &
+        Zhou, JASA 2000), so the estimate stays unbiased.
+        """
+        if self.t is None:
+            return np.where(hit, self.vtot / np.maximum(cover, 1), 0.0)
+        size = hit.size
+        q = (balls / self.vtot) * cover + ((size - balls) / self.vstar) * star
+        return np.divide(size, q, out=np.zeros(size), where=hit)
+
+
 def mc_levelset(spec, nu, lam, samples, seed, threads=1):
     """Monte Carlo volume of {|T nu| > lam}.
 
-    Points are drawn from a union of balls that strictly contains the level
-    set, ball k with probability proportional to its volume, and each hit is
-    weighted by the union volume over its cover count. For n >= 2 these are
-    the covering balls at lam: |Omega| is not constant on the sphere, so
-    they are never the level set itself. For n = 1 |Omega| is constant, and
-    the covering balls of one mass (or of equal masses at one center) are
-    exactly the level set, so every draw would hit with the same weight.
-    There the balls are the covering balls at lam / 2, twice the volume,
-    which a single mass hits with probability 1/2. The weights therefore
-    always have positive variance: the SE is a genuine sampling error, never
-    0 by construction. When not one of the m draws hits, the value is 0.0
-    and the SE is the rule-of-three bound 3 * (union volume) / m: a hit
-    probability above 3/m would have given a hit with probability above
-    95%. The value is then a numpy zero, so a relative error se / value is
-    inf rather than a ZeroDivisionError. The estimate is unbiased and byte
-    identical across thread counts for a fixed seed.
+    Points come from a defensive mixture (Hesterberg, Technometrics 1995)
+    that strictly contains the level set, and each hit x is weighted by
+    1 / q(x), q the mixture density. Its parts:
 
-    Each chunk makes one pass over tiles of masses (measures.kernel_tiles):
-    r2 is formed once per (sample, mass) pair and gives the pole test, the
-    cover count and K, so memory is bounded whatever the number of masses.
+    - the covering balls at lam (covering_radii): |Omega| is not constant
+      on the sphere for n >= 2, so they are never the level set itself;
+    - for Riesz kernels with n >= 2, the stars S_k = {a_k |K(. - c_k)| > t_k}
+      of star_thresholds, t_k proportional to sqrt(a_k) and summing to lam.
+      They cover the level set with the least total volume. A share
+      BALL_SHARE of each chunk's rows still comes from the balls, so the
+      proposal is strictly wider than the set even where one star is the
+      whole set (one mass). Second-order kernels draw from the balls alone.
+
+    For n = 1 |Omega| is constant, and the covering balls of one mass (or of
+    equal masses at one center) are exactly the level set, so every draw
+    would hit with the same weight. There the balls are the covering balls
+    at lam / 2, twice the volume, which a single mass hits with probability
+    1/2. The weights therefore always have positive variance: the SE is a
+    genuine sampling error, never 0 by construction. When not one of the m
+    draws hits, the value is 0.0 and the SE is the rule-of-three bound
+    3 min(V_ball / alpha, V_star / (1 - alpha)) / m, alpha the share of ball
+    rows (3 V_ball / m with the balls alone): a hit probability above 3/m
+    would have given a hit with probability above 95%. The value is then a
+    numpy zero, so a relative error se / value is inf rather than a
+    ZeroDivisionError. The estimate is unbiased and byte identical across
+    thread counts for a fixed seed.
     """
     lam = as_positive(lam, "threshold")
     kernels.check_dimension(spec, nu)
     check_samples(samples)
     check_seed(seed)
 
-    n = spec.n
-    rho = covering_radii(spec, nu, lam / 2.0 if n == 1 else lam)
-    rho2 = rho * rho
-    pole2 = measures.POLE_RADIUS**2
-    vball = kernels.ball_volume(n)
-    vols = vball * rho**n
-    vtot = float(np.sum(vols))
-    # the weights are vtot / cover, and combine_mean_se squares their sum
-    if not math.isfinite((samples * vtot) * (samples * vtot)):
+    prop = _Proposal(spec, nu, lam)
+    cap = prop.max_weight(samples)
+    # combine_mean_se squares the sum of the weights
+    if not math.isfinite((samples * cap) * (samples * cap)):
         raise DomainError("threshold too small: the MC sums overflow; scale nu and it up")
-    pick = np.cumsum(vols) / vtot
-    centers = nu.centers
-    masses = nu.masses
-    count = nu.count
-
-    def draw(gen, size):
-        idx = np.searchsorted(pick, gen.random(size), side="right")
-        idx = np.minimum(idx, count - 1)
-        return centers[idx] + rho[idx, None] * uniform_ball(gen, size, n)
-
-    def evaluate(pts):
-        """(|T nu| > lam, cover count, at a pole) for each row of pts."""
-        rows = pts.shape[0]
-        total = np.zeros(rows)
-        cover = np.zeros(rows, dtype=np.int32)
-        pole = np.zeros(rows, dtype=bool)
-        # rows at a pole carry inf or nan; they are redrawn by the caller
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for tile, r2, vals in measures.kernel_tiles(spec, nu, pts):
-                pole |= np.any(r2 <= pole2, axis=0)
-                cover += np.sum(r2 <= rho2[tile, None], axis=0, dtype=np.int32)
-                vals *= masses[tile, None]
-                total += vals.sum(axis=0)
-        return np.abs(total) > lam, np.maximum(cover, 1), pole
 
     def body(gen, size, chunk_index):
-        pts = draw(gen, size)
-        hit, cover, pole = evaluate(pts)
+        balls = prop.ball_rows(size)
+        _, pts = prop.draw(gen, size, balls)
+        hit, cover, star, pole = prop.evaluate(pts)
         # a draw can land on a pole only with vanishing probability; redraw
-        # those rows from the retry stream so the estimate stays unbiased
+        # those rows from the retry stream, each from its own component, so
+        # the estimate stays unbiased
         for tries in range(_POLE_TRIES):
             rows = np.flatnonzero(pole)
             if rows.size == 0:
                 break
             retry = generator(seed, LEVELSET_RETRY, unit=chunk_index, chunk=tries)
-            pts[rows] = draw(retry, rows.size)
-            hit[rows], cover[rows], pole[rows] = evaluate(pts[rows])
+            _, pts[rows] = prop.draw(retry, rows.size, np.count_nonzero(rows < balls))
+            hit[rows], cover[rows], star[rows], pole[rows] = prop.evaluate(pts[rows])
         else:
             raise ToleranceError("could not draw sample points off the poles")
-        w = np.where(hit, vtot / cover, 0.0)
+        w = prop.weights(hit, cover, star, balls)
         return float(np.sum(w)), float(np.sum(w * w)), size
 
     partials = run_chunked(samples, body, seed, LEVELSET, threads=threads)
     mean, se, m = combine_mean_se(partials)
     if mean == 0.0:
-        return LevelSetEstimate(np.float64(0.0), 3.0 * vtot / m, m, "mc", lam)
+        return LevelSetEstimate(np.float64(0.0), 3.0 * cap / m, m, "mc", lam)
     return LevelSetEstimate(mean, se, m, "mc", lam)
 
 
@@ -271,7 +379,8 @@ def levelset_measure(
     if method == "auto":
         if spec.n == 1:
             method = "interval"
-        elif measures.merge_duplicate_centers(nu).count == 1:
+        elif np.all(nu.centers == nu.centers[0]):
+            # every center equals the first (so -0.0 == 0.0): one mass
             method = "single-mass"
         else:
             method = "mc"

@@ -111,3 +111,37 @@ def uniform_ball(gen, m, n):
     d = uniform_sphere(gen, m, n)
     r = gen.random(m) ** (1.0 / n)
     return d * r[:, None]
+
+
+def uniform_star(gen, m, n, j, scale=1.0):
+    """m points uniform in the unit star {x : |x|^n < |x_j| / |x|}, n >= 2,
+    each multiplied by scale (a number or one per point).
+
+    The star is the level set {|x_j| / |x|^(n+1) > 1} of a Riesz profile
+    (j is 0-based). Its direction theta has density proportional to
+    |theta_j| on S^{n-1}, so theta_j^2 = B is Beta(1, (n-1)/2), drawn by
+    inverse CDF as 1 - U^(2/(n-1)); the top bit of U gives the sign. The
+    other coordinates are sqrt(1 - B) = U^(1/(n-1)) times a uniform point
+    of S^{n-2} (for n = 2 a sign, the next bit of U). Then r^n is uniform
+    below |theta_j|. The points are built one coordinate at a time, so the
+    result is a column-major (m, n) array.
+    """
+    u = gen.random((2, m))
+    frac, top = np.modf(2.0 * u[0])
+    if n == 2:
+        # S^0 is a sign: the next bit of U
+        frac, g = np.modf(2.0 * frac)
+        g = 2.0 * g[None, :] - 1.0
+        rest = frac
+    else:
+        g = gen.standard_normal((n - 1, m))
+        g /= np.sqrt(np.einsum("ij,ij->j", g, g))
+        rest = frac ** (1.0 / (n - 1))
+    tj = np.sqrt(1.0 - rest * rest)
+    r = scale * (tj * u[1]) ** (1.0 / n)
+    g *= r * rest
+    out = np.empty((n, m))
+    out[:j] = g[:j]
+    out[j] = np.copysign(tj * r, top - 0.5)
+    out[j + 1:] = g[j:]
+    return out.T

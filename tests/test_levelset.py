@@ -260,7 +260,41 @@ def test_mc_memory_does_not_grow_with_masses():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mc_all_miss_reports_rule_of_three_bound(seed):
-    # 100 masses spread far apart in 20-D: not one of 1000 draws hits
+    # 10^4 unit masses spread far apart in 5-D: a draw hits with probability
+    # about (1 - alpha) sum(a) / (sum sqrt(a))^2 = 9e-5, and not one of 1000
+    # draws does; the bound is 3 min(V_ball / alpha, V_star / (1 - alpha)) / m
+    spec = K.riesz(5, 1)
+    nu = M.PointMassMeasure(
+        n=5,
+        masses=np.ones(10_000),
+        centers=np.random.default_rng(0).normal(size=(10_000, 5)) * 100,
+    )
+    est = L.mc_levelset(spec, nu, 1.0, 1000, seed=seed)
+    vball = K.ball_volume(5) * float(np.sum(L.covering_radii(spec, nu, 1.0) ** 5))
+    vstar = float(np.sum(nu.masses / L.star_thresholds(nu, 1.0))) * 2 / (5 * math.pi)
+    alpha = L.BALL_SHARE
+    assert est.value == 0.0
+    assert est.standard_error > 0.0
+    assert est.standard_error == pytest.approx(
+        3.0 * min(vball / alpha, vstar / (1.0 - alpha)) / 1000, rel=1e-12
+    )
+    # a numpy zero: the relative error is inf, not a ZeroDivisionError
+    with np.errstate(divide="ignore"):
+        assert est.standard_error / est.value == math.inf
+    # second-order kernels draw from the balls alone: the bound is 3 V_ball / m
+    spec = K.second_order(5, 1, 2)
+    est = L.mc_levelset(spec, nu, 1.0, 1000, seed=seed)
+    vball = K.ball_volume(5) * float(np.sum(L.covering_radii(spec, nu, 1.0) ** 5))
+    assert est.value == 0.0
+    assert est.standard_error == pytest.approx(3.0 * vball / 1000, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mc_stars_hit_where_the_balls_missed(seed):
+    # 100 masses spread apart in 20-D: the covering balls are so much larger
+    # than the level set that 1000 draws from them all miss; the stars are
+    # 5.5 times smaller per mass and take sqrt(a) shares of lambda, not
+    # lambda / N, so about 1% of the draws hit
     spec = K.riesz(20, 1)
     nu = M.PointMassMeasure(
         n=20,
@@ -268,13 +302,96 @@ def test_mc_all_miss_reports_rule_of_three_bound(seed):
         centers=np.random.default_rng(0).normal(size=(100, 20)) * 100,
     )
     est = L.mc_levelset(spec, nu, 1.0, 1000, seed=seed)
-    vtot = K.ball_volume(20) * float(np.sum(L.covering_radii(spec, nu, 1.0) ** 20))
-    assert est.value == 0.0
+    assert est.value > 0.0
     assert est.standard_error > 0.0
-    assert est.standard_error == pytest.approx(3.0 * vtot / 1000, rel=1e-12)
-    # a numpy zero: the relative error is inf, not a ZeroDivisionError
-    with np.errstate(divide="ignore"):
-        assert est.standard_error / est.value == math.inf
+
+
+def riesz_measure(gen, n, count):
+    return M.PointMassMeasure(
+        n=n, masses=gen.uniform(0.2, 3.0, count), centers=gen.normal(size=(count, n))
+    )
+
+
+@pytest.mark.parametrize("n,j", [(2, 1), (2, 2), (3, 2), (5, 1), (5, 5)])
+def test_star_draws_lie_in_their_stars(n, j):
+    gen = np.random.default_rng(10 * n + j)
+    nu = riesz_measure(gen, n, 6)
+    spec = K.riesz(n, j)
+    lam = 0.7
+    t = L.star_thresholds(nu, lam)
+    assert math.fsum(t) == pytest.approx(lam, rel=1e-12)
+    assert np.allclose(t / np.sqrt(nu.masses), t[0] / math.sqrt(nu.masses[0]))
+    idx, pts = L._Proposal(spec, nu, lam).draw(gen, 20000, 0)
+    vals = nu.masses[idx] * np.abs(K.kernel_values(spec, pts - nu.centers[idx]))
+    assert np.all(vals >= t[idx] * (1.0 - 1e-12))
+    # star k is drawn with probability |S_k| / V_star, |S_k| = (a_k / t_k) 2 / (pi n)
+    p = (nu.masses / t) / np.sum(nu.masses / t)
+    counts = np.bincount(idx, minlength=nu.count)
+    assert np.all(np.abs(counts - 20000 * p) <= 4.0 * np.sqrt(20000 * p * (1 - p)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mc_agrees_with_plain_box_sampling(n):
+    # overlapping stars and balls: a point in several of them must weigh
+    # 1 / q with q counting all of them; the reference samples a box around
+    # the covering balls uniformly and counts hits
+    gen = np.random.default_rng(90 + n)
+    nu = M.PointMassMeasure(
+        n=n, masses=gen.uniform(0.3, 2.0, 4), centers=gen.normal(size=(4, n)) * 0.3
+    )
+    spec = K.riesz(n, 1)
+    est = L.mc_levelset(spec, nu, 1.0, 200_000, seed=5)
+    rho = np.max(L.covering_radii(spec, nu, 1.0))
+    lo, hi = nu.centers.min(axis=0) - rho, nu.centers.max(axis=0) + rho
+    m = 400_000
+    pts = lo + (hi - lo) * gen.random((m, n))
+    hits = np.abs(M.transform_many(spec, nu, pts)) > 1.0
+    box = float(np.prod(hi - lo))
+    p = hits.mean()
+    ref, ref_se = box * p, box * math.sqrt(p * (1 - p) / m)
+    assert abs(est.value - ref) <= 4.0 * math.hypot(est.standard_error, ref_se)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_mc_single_mass_within_three_se_of_closed_form(n):
+    a, lam = 1.7, 0.6
+    nu = M.PointMassMeasure(n=n, masses=np.array([a]), centers=np.full((1, n), 0.3))
+    est = L.mc_levelset(K.riesz(n, 1), nu, lam, 40000, seed=80 + n)
+    assert est.standard_error > 0.0
+    assert abs(est.value - 2.0 * a / (math.pi * n * lam)) <= 3.0 * est.standard_error
+
+
+def test_auto_route_single_center_test_agrees_with_merging():
+    spec = K.riesz(2, 1)
+    up = np.nextafter(2.0, 3.0)
+    cases = (
+        [[0.5, 0.5]],
+        [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],
+        [[0.0, -0.0], [-0.0, 0.0]],
+        [[-0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
+        [[1.0, 2.0], [1.0, up]],
+        [[1.0, 2.0], [1.0, 2.0], [1.0 + 1e-15, 2.0]],
+    )
+    routes = []
+    for centers in cases:
+        nu = M.PointMassMeasure(2, np.ones(len(centers)), np.array(centers))
+        one = M.merge_duplicate_centers(nu).count == 1
+        est = L.levelset_measure(spec, nu, 1.0, samples=1000, seed=1)
+        assert est.method == ("single-mass" if one else "mc")
+        routes.append(est.method)
+    assert routes == ["single-mass"] * 4 + ["mc"] * 2
+
+
+@pytest.mark.parametrize(
+    "masses,centers",
+    [((1e-20,) * 3, (0.0, 1.0, 2.0)), ((1e-12,) * 2, (1e6, 1e6 + 1.0))],
+)
+def test_line_identity_keeps_intervals_below_the_double_spacing(masses, centers):
+    # each interval is far shorter than the spacing of doubles at its pole,
+    # so the rounded endpoints alone would lose it
+    nu = M.PointMassMeasure(1, np.array(masses), np.array(centers)[:, None])
+    got = L.hilbert_levelset_exact(nu, 1.0).value / M.total_variation(nu)
+    assert got == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
 def test_mc_standard_error_scaling():

@@ -18,6 +18,7 @@ from rieszlab import decomposition as D
 from rieszlab import kernels as K
 from rieszlab import levelset as L
 from rieszlab import measures as M
+from rieszlab import rng
 
 SETTINGS = settings(
     derandomize=True, database=None, deadline=None, max_examples=40
@@ -91,6 +92,32 @@ def test_mc_levelset_power_of_two_scaling_is_exact(a, centers, lam, k, seed):
     base = L.mc_levelset(spec, nu, lam, 2000, seed)
     got = L.mc_levelset(spec, scaled, lam * 2.0**k, 2000, seed)
     assert (got.value, got.standard_error) == (base.value, base.standard_error)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    n=st.sampled_from([2, 3, 5]),
+    a=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6),
+    spread=st.floats(0.0, 3.0),
+    lam=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32),
+)
+def test_stars_cover_the_level_set(n, a, spread, lam, seed):
+    # |T nu| > lam = sum t_k forces some a_k |K(x - c_k)| > t_k
+    gen = np.random.default_rng(seed)
+    spec = K.riesz(n, 1 + seed % n)
+    nu = M.PointMassMeasure(n, a, gen.normal(size=(len(a), n)) * spread)
+    prop = L._Proposal(spec, nu, lam)
+    draws = rng.generator(seed, rng.LEVELSET)
+    _, pts = prop.draw(draws, 4000, 4000)
+    hit, _, star, pole = prop.evaluate(pts)
+    assert np.all(star[hit & ~pole] >= 1)
+    # so every hit of the mixture has q > 0: a finite, positive weight
+    balls = prop.ball_rows(4000)
+    _, pts = prop.draw(draws, 4000, balls)
+    hit, cover, star, pole = prop.evaluate(pts)
+    w = prop.weights(hit, cover, star, balls)[hit & ~pole]
+    assert np.all(np.isfinite(w) & (w > 0.0))
 
 
 # fine lattice levels below the cell level, as in the Whitney unit tests

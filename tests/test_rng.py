@@ -118,3 +118,20 @@ def test_uniform_sphere_and_ball():
     assert np.all(radii < 1.0)
     # radius^3 is uniform on (0, 1)
     assert abs(np.mean(radii**3) - 0.5) < 6.0 * 0.29 / math.sqrt(4000)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 20])
+def test_uniform_star_direction_law(n):
+    # theta_j^2 is Beta(1, (n - 1) / 2): E|theta_j| = G(3/2) G(b + 1) / G(b + 3/2)
+    m, j = 200_000, n // 2
+    x = rng.uniform_star(rng.generator(n, rng.LEVELSET), m, n, j)
+    r = np.linalg.norm(x, axis=1)
+    tj = np.abs(x[:, j]) / r
+    b = (n - 1) / 2
+    want = math.exp(math.lgamma(1.5) + math.lgamma(b + 1) - math.lgamma(b + 1.5))
+    assert abs(tj.mean() - want) <= 4.0 * tj.std() / math.sqrt(m)
+    assert abs(np.mean(np.sign(x[:, j]))) <= 4.0 / math.sqrt(m)
+    # inside the unit star, with r^n uniform below |theta_j|
+    u = r**n / tj
+    assert np.all(u < 1.0 + 1e-12)
+    assert abs(u.mean() - 0.5) <= 4.0 * math.sqrt(1 / 12 / m)
