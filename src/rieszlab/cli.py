@@ -100,7 +100,7 @@ def _cmd_constants(args):
         "gradient_sup", "ball_volume", "dimensional_constant",
         "single_mass_weaktype",
     )
-    sphere = kernels.sphere_l1_quadrature(spec)
+    sphere = kernels.sphere_l1_norm(spec)
     row = (
         spec.n, args.kind, spec.i, spec.j,
         kernels.normalization(spec), sphere, kernels.omega_sup(spec),
@@ -117,13 +117,8 @@ def _cmd_verify_kernel(args):
     closed = kernels.sphere_l1_norm(spec)
     mc = kernels.sphere_l1_norm_mc(spec, args.samples, args.seed, threads)
     mean = kernels.sphere_mean_zero_check(spec, args.samples, args.seed, threads)
-    rows = []
-    if closed.exact:
-        ok = abs(quad - closed.value) <= 1e-8 * closed.value
-        rows.append(("sphere_l1_quadrature", quad, 0.0, closed.value, ok))
-    else:
-        ok = quad <= closed.value * (1.0 + 1e-12)
-        rows.append(("sphere_l1_quadrature_bound", quad, 0.0, closed.value, ok))
+    ok = abs(quad - closed) <= 1e-8 * closed
+    rows = [("sphere_l1_quadrature", quad, 0.0, closed, ok)]
     ok_mc = abs(mc.value - quad) <= 5.0 * mc.standard_error
     rows.append(("sphere_l1_mc", mc.value, mc.standard_error, quad, ok_mc))
     ok_mean = abs(mean.value) <= 5.0 * mean.standard_error

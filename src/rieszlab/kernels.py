@@ -3,17 +3,16 @@
 Two families: the Riesz kernels with profile x_j/|x| (at n = 1 the Hilbert
 kernel 1/(pi x)) and the second-order kernels with profiles x_i x_j/|x|^2
 (i != j) and x_j^2/|x|^2 - 1/n.  Closed forms cover the normalization, the
-sphere L^1 norm (exact for Riesz, an upper bound for second order), the
-profile gradient, and the dimensional constant; Monte Carlo checkers cover
-the zero sphere mean and the integral Lipschitz condition; a deterministic
-1-D quadrature path serves as the independent oracle for sphere integrals.
+sphere L^1 norm of every kernel, the profile gradient, and the dimensional
+constant; Monte Carlo checkers cover the zero sphere mean and the integral
+Lipschitz condition; a deterministic 1-D quadrature path serves as the
+independent oracle for sphere integrals.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import rng
 from .errors import DomainError, ToleranceError, as_int, as_point
@@ -224,19 +223,25 @@ def dimensional_constant(n):
     ) / n
 
 
-@dataclass(frozen=True)
-class SphereNorm:
-    """Closed-form sphere L^1 value; exact=False marks an upper bound."""
-
-    value: float
-    exact: bool
-
-
 def sphere_l1_norm(spec):
-    if spec.kind == RIESZ:
-        return SphereNorm(2.0 / math.pi, True)
-    # second order: the sharp closed form is not asserted, only the bound
-    return SphereNorm(2.0 if spec.diagonal else 1.0, False)
+    """int_{S^{n-1}} |Omega| dsigma in closed form.
+
+    2/pi for every Riesz kernel and every off-diagonal second-order kernel
+    (there c |S^{n-1}| = n and E|theta_i theta_j| = 2/(pi n)). On the
+    diagonal it is n E|theta_j^2 - p| with p = 1/n, the mean absolute
+    deviation of theta_j^2 ~ Beta(1/2, (n-1)/2) about its mean:
+    n 4 p^{3/2} (1 - p)^{(n-1)/2} / B(1/2, (n-1)/2), taken in log space.
+    """
+    if not spec.diagonal:
+        return 2.0 / math.pi
+    n = spec.n
+    return math.exp(
+        math.log(4.0)
+        - 0.5 * math.log(n * math.pi)
+        + (n - 1) / 2 * math.log1p(-1.0 / n)
+        + math.lgamma(n / 2)
+        - math.lgamma((n - 1) / 2)
+    )
 
 
 @dataclass(frozen=True)
@@ -286,31 +291,15 @@ def lipschitz_condition_ratio(spec, xi, delta, samples, seed, threads=1):
         raise DomainError("xi must be a unit vector")
     if not 0.0 < delta < 1.0 / spec.n:
         raise DomainError("delta must lie in the open interval (0, 1/n)")
-    rng.check_samples(samples)
-
-    area = sphere_surface_area(spec.n)
-    closed = sphere_l1_norm(spec)
-
-    def chunk(gen, m, _c):
-        theta = rng.uniform_sphere(gen, m, spec.n)
-        num = np.abs(omega(spec, theta - delta * xi) - omega(spec, theta))
-        den = np.abs(omega(spec, theta))
-        return (
-            float(np.sum(num)),
-            float(np.sum(num * num)),
-            m,
-            float(np.sum(den)),
-        )
-
-    parts = rng.run_chunked(samples, chunk, seed, rng.LIPSCHITZ, threads=threads)
-    num_mean, _, _ = rng.combine_mean_se([(p[0], p[1], p[2]) for p in parts])
-    numerator = num_mean * area
-    if closed.exact:
-        denominator = closed.value
-    else:
-        # same draw, so the ratio uses common random numbers
-        denominator = math.fsum(p[3] for p in parts) / samples * area
-    return numerator / (spec.n * delta * denominator)
+    est = _sphere_mc(
+        spec,
+        lambda t: np.abs(omega(spec, t - delta * xi) - omega(spec, t)),
+        samples,
+        seed,
+        rng.LIPSCHITZ,
+        threads,
+    )
+    return est.value / (spec.n * delta * sphere_l1_norm(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +312,22 @@ def lipschitz_condition_ratio(spec, xi, delta, samples, seed, threads=1):
 # ---------------------------------------------------------------------------
 
 
+def _quad(f, lo, hi, points=()):
+    """int_lo^hi f by adaptive quadrature to 1e-12 relative.
+
+    ToleranceError when the error estimate exceeds 1e-10 of max(1, |value|).
+    scipy.integrate is imported here, so only the oracle pays for it.
+    """
+    from scipy import integrate
+
+    val, err = integrate.quad(
+        f, lo, hi, points=points or None, epsabs=0.0, epsrel=1e-12, limit=200
+    )
+    if err > 1e-10 * max(1.0, abs(val)):
+        raise ToleranceError("sphere quadrature did not converge", val)
+    return val
+
+
 def _slice_integral(n, f, kinks=()):
     """Reduce int_{S^{n-1}} f(theta_1) dsigma to one angular quadrature.
 
@@ -332,15 +337,9 @@ def _slice_integral(n, f, kinks=()):
     if n == 1:
         return f(1.0) + f(-1.0)
     points = sorted(math.acos(t) for t in kinks if -1.0 < t < 1.0)
-    val, err = integrate.quad(
-        lambda p: f(math.cos(p)) * math.sin(p) ** (n - 2),
-        0.0,
-        math.pi,
-        points=points or None,
-        limit=200,
+    val = _quad(
+        lambda p: f(math.cos(p)) * math.sin(p) ** (n - 2), 0.0, math.pi, points
     )
-    if err > 1e-9 * max(1.0, abs(val)):
-        raise ToleranceError("sphere slice quadrature did not converge", val)
     return sphere_surface_area(n - 1) * val
 
 
@@ -350,7 +349,7 @@ def abs_coordinate_sphere_integral(n):
 
 
 def sphere_l1_quadrature(spec):
-    """Deterministic sphere L^1 norm of Omega (true value, not a bound)."""
+    """Sphere L^1 norm of Omega by quadrature: the oracle of sphere_l1_norm."""
     n = spec.n
     c = normalization(spec)
     if spec.kind == RIESZ:
@@ -361,14 +360,11 @@ def sphere_l1_quadrature(spec):
             n, lambda t: abs(t * t - 1.0 / n), kinks=(-root, root)
         )
     if n == 2:
-        val, _ = integrate.quad(
-            lambda a: abs(math.cos(a) * math.sin(a)), 0.0, 2.0 * math.pi, limit=200
+        return c * _quad(
+            lambda a: abs(math.cos(a) * math.sin(a)), 0.0, 2.0 * math.pi
         )
-        return c * val
     # two-coordinate reduction; angular |cos sin| integral equals 2
-    radial, err = integrate.quad(
+    radial = _quad(
         lambda psi: math.sin(psi) ** 3 * math.cos(psi) ** (n - 3), 0.0, math.pi / 2
     )
-    if err > 1e-10 * max(1.0, radial):
-        raise ToleranceError("sphere quadrature did not converge", radial)
     return c * sphere_surface_area(n - 2) * 2.0 * radial

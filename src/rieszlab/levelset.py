@@ -8,7 +8,6 @@ estimators report the volume of {|T nu| > lambda}.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dlasd4
@@ -134,29 +133,19 @@ def hilbert_levelset_exact(nu, lam):
     return LevelSetEstimate(volume, 0.0, 0, "interval", lam)
 
 
-@lru_cache(maxsize=None)
 def unit_levelset_constant(n):
-    """Volume of {|K| > 1} for a unit coordinate-kernel mass in dimension n.
+    """Volume of {|K| > 1} for a unit Riesz mass in dimension n: 2 / (pi n).
 
-    Equals 2 / (pi n): in polar coordinates the radial integral of r^(n-1)
-    up to |Omega(theta)|^(1/n) is |Omega(theta)| / n, so the volume is the
-    sphere L^1 norm over n. The closed form is only served once the
-    quadrature oracle confirms it for this n.
+    In polar coordinates the radial integral of r^(n-1) up to
+    |Omega(theta)|^(1/n) is |Omega(theta)| / n, so the volume is the sphere
+    L^1 norm, 2 / pi, over n.
     """
-    quad = kernels.sphere_l1_quadrature(kernels.riesz(n, 1))
-    if abs(quad - 2.0 / math.pi) > 1e-8:
-        raise ToleranceError(
-            "sphere quadrature disagrees with the closed form constant",
-            partial=quad / n,
-        )
     return 2.0 / (math.pi * n)
 
 
 def unit_levelset_volume(spec):
-    """(volume of {|K| > 1} at unit mass, whether it is a closed form)."""
-    if spec.kind == kernels.RIESZ:
-        return unit_levelset_constant(spec.n), True
-    return kernels.sphere_l1_quadrature(spec) / spec.n, False
+    """Volume of {|K| > 1} at unit mass: the sphere L^1 norm over n."""
+    return kernels.sphere_l1_norm(spec) / spec.n
 
 
 def single_mass_levelset_exact(spec, nu, lam):
@@ -165,8 +154,7 @@ def single_mass_levelset_exact(spec, nu, lam):
     kernels.check_dimension(spec, nu)
     if nu.count != 1:
         raise DomainError("closed form requires a single mass; use mc_levelset")
-    vol, _ = unit_levelset_volume(spec)
-    value = float(nu.masses[0]) / lam * vol
+    value = float(nu.masses[0]) / lam * unit_levelset_volume(spec)
     return LevelSetEstimate(value, 0.0, 0, "single-mass", lam)
 
 

@@ -67,18 +67,47 @@ def test_constants_row(capsys):
     assert len(rows[0]["sphere_l1"].replace("0.", "")) == 17
 
 
-def test_module_entry_point(capsys):
-    # python -m rieszlab.cli used to import the module and print nothing
+def run_python(args):
+    """A fresh interpreter that imports rieszlab from this checkout."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rieszlab.cli", "constants", "--n", "3"],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=120,
     )
+
+
+def test_module_entry_point(capsys):
+    # python -m rieszlab.cli used to import the module and print nothing
+    proc = run_python(["-m", "rieszlab.cli", "constants", "--n", "3"])
     assert proc.returncode == 0
     assert proc.stdout == run_ok(capsys, ["constants", "--n", "3"])
     assert len(parse_csv(proc.stdout)) == 1
+
+
+@pytest.mark.parametrize("n", [12, 13, 15, 50])
+def test_sphere_constants_in_high_dimension(capsys, tmp_path, n):
+    # the sphere constants are closed forms, so no quadrature can fail here
+    rows = parse_csv(run_ok(capsys, ["constants", "--n", str(n)]))
+    assert float(rows[0]["sphere_l1"]) == 2.0 / math.pi
+    run_ok(capsys, ["verify-kernel", "--kind", "second-order", "--n", str(n),
+                    "--i", "1", "--j", "1", "--samples", "20000", "--seed", "1"])
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"n": n, "masses": [
+        {"a": 1.0, "c": [0.0] * n}, {"a": 2.0, "c": [0.1] * n}]}))
+    rows = parse_csv(run_ok(capsys, [
+        "levelset", "--measure", str(path), "--lambda", "1", "--method", "mc",
+        "--samples", "2000", "--seed", "1"]))
+    assert float(rows[0]["standard_error"]) > 0.0
+
+
+def test_import_leaves_quadrature_unloaded():
+    # only the sphere quadrature oracle needs scipy.integrate
+    code = "import sys, rieszlab, rieszlab.cli; print('scipy.integrate' in sys.modules)"
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_non_integer_json_exits_2(capsys, tmp_path):

@@ -180,11 +180,32 @@ def test_dimensional_constant_sqrt_decay():
 def test_sphere_l1_closed_forms_and_bounds():
     for n in (1, 2, 3, 7):
         got = K.sphere_l1_norm(K.riesz(n, 1))
-        assert got.exact and got.value == pytest.approx(2 / math.pi, rel=1e-15)
+        assert got == pytest.approx(2 / math.pi, rel=1e-15)
     off = K.sphere_l1_norm(K.second_order(3, 1, 2))
-    assert (off.value, off.exact) == (1.0, False)
-    diag = K.sphere_l1_norm(K.second_order(3, 1, 1))
-    assert (diag.value, diag.exact) == (2.0, False)
+    assert off == pytest.approx(2 / math.pi, rel=1e-15)
+    # n = 2: E|cos^2 - 1/2| = 1/pi, times c |S^1| = 2
+    diag2 = K.sphere_l1_norm(K.second_order(2, 1, 1))
+    assert diag2 == pytest.approx(2 / math.pi, rel=1e-15)
+    # n = 3: theta_j is uniform on [-1, 1], E|t^2 - 1/3| = 4 / (9 sqrt 3)
+    diag3 = K.sphere_l1_norm(K.second_order(3, 1, 1))
+    assert diag3 == pytest.approx(4 / (3 * math.sqrt(3)), rel=1e-15)
+
+
+SPHERE_FAMILIES = {
+    "riesz": lambda n: K.riesz(n, 1),
+    "off-diagonal": lambda n: K.second_order(n, 1, 2),
+    "diagonal": lambda n: K.second_order(n, 1, 1),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SPHERE_FAMILIES))
+def test_sphere_l1_norm_matches_oracle(family):
+    # the quadrature used to give up at n = 10..16 and beyond
+    for n in range(2, 65):
+        spec = SPHERE_FAMILIES[family](n)
+        assert K.sphere_l1_norm(spec) == pytest.approx(
+            K.sphere_l1_quadrature(spec), rel=1e-12
+        ), n
 
 
 def test_sphere_l1_quadrature_oracle():
@@ -193,12 +214,12 @@ def test_sphere_l1_quadrature_oracle():
         q = K.sphere_l1_quadrature(K.riesz(n, 1))
         assert q == pytest.approx(2 / math.pi, rel=1e-10)
     # off-diagonal second order integrates to 2/pi in every dimension:
-    # C2 * |S^{n-1}| * E|theta_i theta_j| = (n/2/pi^{n/2}) try by hand at n=2
+    # c |S^{n-1}| = n and E|theta_i theta_j| = 2/(pi n)
     for n in (2, 3, 5):
         q = K.sphere_l1_quadrature(K.second_order(n, 1, 2))
         assert q == pytest.approx(2 / math.pi, rel=1e-9)
         assert q <= 1.0
-    # diagonal values stay below the closed-form bound 2 and grow with n
+    # diagonal values stay below 2 and grow with n
     vals = [K.sphere_l1_quadrature(K.second_order(n, 1, 1)) for n in (2, 3, 5, 8)]
     assert vals[0] == pytest.approx(2 / math.pi, rel=1e-9)
     assert all(v < 2.0 for v in vals)
@@ -214,9 +235,6 @@ def test_sphere_l1_mc_matches_quadrature():
         est = K.sphere_l1_norm_mc(spec, 200_000, seed=seed)
         q = K.sphere_l1_quadrature(spec)
         assert abs(est.value - q) <= 3 * est.standard_error
-        bound = K.sphere_l1_norm(spec)
-        if not bound.exact:
-            assert est.value <= bound.value + 3 * est.standard_error
 
 
 def test_sphere_mean_zero():

@@ -145,7 +145,8 @@ def test_exact_solver_rejects_duplicates_and_bad_threshold():
 
 
 def test_unit_levelset_constant_scaling():
-    for n in range(1, 12):
+    # a closed form in every dimension, n = 12..14 and 44..68 included
+    for n in range(1, 201):
         assert L.unit_levelset_constant(n) * n == pytest.approx(
             2.0 / math.pi, rel=1e-12
         )
@@ -153,6 +154,19 @@ def test_unit_levelset_constant_scaling():
     assert L.unit_levelset_constant(1) == pytest.approx(
         K.dimensional_constant(1), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("n", [12, 13, 50])
+def test_mc_levelset_runs_in_high_dimension(n):
+    # the star volumes need 2/(pi n) at every n the API accepts
+    nu = M.PointMassMeasure(
+        n=n,
+        masses=np.array([1.0, 2.0]),
+        centers=np.vstack([np.zeros(n), np.full(n, 0.1)]),
+    )
+    est = L.mc_levelset(K.riesz(n, 1), nu, 1.0, 2000, seed=n)
+    assert math.isfinite(est.value) and est.value > 0.0
+    assert est.standard_error > 0.0
 
 
 def test_single_mass_closed_form():
