@@ -176,7 +176,8 @@ def _cmd_whitney(args):
         "n": union.n,
         "max_depth": args.max_depth,
         "cubes": [c.to_json_dict() for c in cubes],
-        "residual": [c.to_json_dict() for c in residual],
+        "residual": [decomposition.DyadicCube(args.max_depth, tuple(r)).to_json_dict()
+                     for r in residual.tolist()],
     }
     _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_int, as_positive
+from .errors import DomainError, as_floats, as_int, as_positive
 from .measures import PointMassMeasure
 
 _MAX_FINE_CELLS = 1 << 22
@@ -203,11 +203,11 @@ def _fine_distances(union, max_depth):
 def whitney_decompose(union, max_depth):
     """Split U into maximal dyadic cubes comparable to their boundary distance.
 
-    Returns (cubes, residual): disjoint cubes whose union with the residual
-    level-max_depth cells is exactly U, every cube passing the separation
-    check (2n - 1) diam(Q) <= dist(Q, complement of U) in integer arithmetic.
-    Cells whose boundary distance falls below the finest window are the
-    residual.
+    Returns (cubes, residual): a sorted list of disjoint DyadicCubes, each
+    passing (2n - 1) diam(Q) <= dist(Q, complement of U) in integer
+    arithmetic, and a read-only int64 (count, n) array, in lexicographic row
+    order, of the level-max_depth cells whose boundary distance falls below
+    the finest window. Together they tile U exactly.
     """
     if union.count == 0:
         raise DomainError("cannot decompose an empty set")
@@ -215,77 +215,50 @@ def whitney_decompose(union, max_depth):
     if max_depth < union.level:
         raise DomainError("max_depth must be an integer >= the cell level")
     n = union.n
-    m_level = max_depth
-    corners, d2 = _fine_distances(union, m_level)
+    corners, d2 = _fine_distances(union, max_depth)
 
     # window k holds boundary distances in [2n sqrt(n) 2^-k, 4n sqrt(n) 2^-k);
-    # in fine units that is 4 n^3 4^(m-k) <= d2 < 4 n^3 4^(m-k+1), so the
-    # window index is read off the binary length of d2 // (4 n^3)
+    # in fine units (level m = max_depth) that is 4 n^3 4^(m-k) <= d2 <
+    # 4 n^3 4^(m-k+1), so k is read off the binary length of d2 // (4 n^3)
     q = d2 // (4 * n**3)
     residual_mask = q == 0
     fine = corners[~residual_mask]
-    q = q[~residual_mask]
-
-    _, exponent = np.frexp(q.astype(np.float64))
-    j = (exponent.astype(np.int64) - 1) // 2
-    levels = m_level - j
-    anc = fine >> j[:, None]
-
-    keyed = np.concatenate([levels[:, None], anc], axis=1)
-    candidates = np.unique(keyed, axis=0)
-
-    by_level = {}
-    for rowv in candidates:
-        by_level.setdefault(int(rowv[0]), set()).add(tuple(int(x) for x in rowv[1:]))
-    level_list = sorted(by_level)
-
-    maximal = []
-    for rowv in candidates:
-        k = int(rowv[0])
-        c = tuple(int(x) for x in rowv[1:])
-        covered = any(
-            kp < k and tuple(x >> (k - kp) for x in c) in by_level[kp]
-            for kp in level_list
-        )
-        if not covered:
-            maximal.append((k, c))
-    maximal.sort()
-
-    # exact verification: each cube lies in U, the family plus the residual
-    # tiles U cell for cell, and the separation inequality holds
-    max_by_level = {}
-    for k, c in maximal:
-        max_by_level.setdefault(k, []).append(c)
-    assigned = np.zeros(len(fine), dtype=bool)
-    min_d2 = {}
-    counts = {}
     fine_d2 = d2[~residual_mask]
-    for k in sorted(max_by_level):
-        table = np.asarray(max_by_level[k], dtype=np.int64)
-        shift = m_level - k
-        anc_k = fine[~assigned] >> shift
-        mask = _rows_lookup(table, anc_k)
-        rows = np.flatnonzero(~assigned)[mask]
-        for r in rows:
-            key = (k, tuple(int(x) for x in fine[r] >> shift))
-            v = int(fine_d2[r])
-            min_d2[key] = min(min_d2.get(key, v), v)
-            counts[key] = counts.get(key, 0) + 1
-        assigned[rows] = True
-    if not np.all(assigned):
-        raise RuntimeError("whitney construction failed to cover a cell")
-    for k, c in maximal:
-        if counts[(k, c)] != 1 << (n * (m_level - k)):
-            raise RuntimeError("whitney cube escapes the input set")
-        if (2 * n - 1) ** 2 * n * 4 ** (m_level - k) > min_d2[(k, c)]:
-            raise RuntimeError("whitney separation violated")
+    _, exponent = np.frexp(q[~residual_mask].astype(np.float64))
+    levels = max_depth - (exponent.astype(np.int64) - 1) // 2
 
-    cubes = [DyadicCube(k, c) for k, c in maximal]
-    residual = [
-        DyadicCube(m_level, tuple(int(x) for x in rowv))
-        for rowv in corners[residual_mask]
-    ]
-    residual.sort(key=lambda cube: cube.coords)
+    # each fine cell's window names a candidate cube; a maximal cube is the
+    # coarsest candidate holding some fine cell, so walk the levels coarse
+    # first and give each unassigned cell (level max_depth + 1) the first
+    # candidate that holds it
+    cube_levels = np.full(len(fine), max_depth + 1)
+    for k in np.unique(levels):
+        shift = max_depth - k
+        rows = np.flatnonzero(cube_levels > max_depth)
+        rows = rows[_rows_lookup(fine[levels == k] >> shift, fine[rows] >> shift)]
+        cube_levels[rows] = k
+
+    # exact verification: every fine cell has a cube, each cube holds all of
+    # its fine cells (so it lies in U), and the separation inequality holds
+    if np.any(cube_levels > max_depth):
+        raise RuntimeError("whitney construction failed to cover a cell")
+    shift = max_depth - cube_levels
+    keys = np.concatenate([cube_levels[:, None], fine >> shift[:, None]], axis=1)
+    keys, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
+                                      return_counts=True)
+    min_d2 = np.full(len(keys), np.iinfo(np.int64).max)
+    np.minimum.at(min_d2, inverse.reshape(-1), fine_d2)
+    shift = max_depth - keys[:, 0]
+    # clamped so the shift cannot wrap: no cube holds 2^62 fine cells
+    if np.any(counts != 1 << np.minimum(n * shift, 62)):
+        raise RuntimeError("whitney cube escapes the input set")
+    if np.any((2 * n - 1) ** 2 * n << (2 * shift) > min_d2):
+        raise RuntimeError("whitney separation violated")
+
+    cubes = [DyadicCube(row[0], tuple(row[1:])) for row in keys.tolist()]
+    residual = corners[residual_mask]
+    residual = residual[np.lexsort(residual.T[::-1])]
+    residual.flags.writeable = False
     return cubes, residual
 
 
@@ -320,10 +293,6 @@ class GridFunction:
     @property
     def cell_volume(self):
         return 2.0 ** (-self.level * self.n)
-
-    @property
-    def cells_per_axis(self):
-        return 1 << (self.level - self.box.level)
 
     @property
     def origin(self):
@@ -364,7 +333,7 @@ class GridFunction:
             return GridFunction(
                 doc["L"],
                 DyadicCube.from_json_dict(doc["box"]),
-                np.asarray(doc["values"], dtype=float),
+                as_floats(doc["values"], "cell values"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("malformed grid document: %s" % exc) from exc
@@ -509,15 +478,15 @@ def cz_decompose(f, threshold, max_depth):
     good_values = np.where(f.values > lam, 0.0, f.values)
     good = GridFunction(f.level, f.box, good_values)
 
+    cells = tuple(DyadicCube(max_depth, tuple(r)) for r in residual.tolist())
     pieces = [_piece_for_cube(f, cube, False) for cube in cubes]
-    pieces.extend(_piece_for_cube(f, cell, True) for cell in residual)
+    pieces.extend(_piece_for_cube(f, cell, True) for cell in cells)
 
     nu = PointMassMeasure(
         n=f.n,
         masses=np.array([p.mass for p in pieces]),
         centers=np.array([p.center for p in pieces]),
     )
-    residual_measure = math.fsum(c.volume for c in residual)
-    return CZDecomposition(
-        lam, good, tuple(pieces), nu, tuple(residual), residual_measure
-    )
+    # a count times a power of two, so exact
+    residual_measure = len(residual) * 2.0 ** (-f.n * max_depth)
+    return CZDecomposition(lam, good, tuple(pieces), nu, cells, residual_measure)

@@ -37,6 +37,16 @@ def as_int(value, what):
     return int(value)
 
 
+def as_floats(values, what):
+    """values (nested lists of numbers) as a float array; DomainError for any
+    string, bool or other non-number entry: a JSON "2.5" or true is no 2.5."""
+    items = np.asarray(values, dtype=object)
+    for v in items.ravel():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise DomainError("%s must be numbers" % what)
+    return items.astype(float)
+
+
 def as_positive(value, what):
     """value as a positive finite float; DomainError otherwise."""
     value = float(value)

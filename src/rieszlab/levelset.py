@@ -28,6 +28,7 @@ from .rng import (
 )
 
 _POLE_TRIES = 64
+_RHO_RANGE = 500  # log2 of the rho to pole gap ratio where _plus_roots takes limits
 # share of each chunk that mc_levelset draws from the covering balls when it
 # also draws from the stars: the defensive part of the mixture
 BALL_SHARE = 0.1
@@ -80,24 +81,43 @@ def _plus_roots(a, c, lam):
     1 + rho sum z_k^2 / (d_k^2 - sigma^2) = 0, which dlasd4 solves stably in
     O(N) per root (R.-C. Li, LAPACK Working Note 89). It returns d_k - sigma
     and d_k + sigma, whose product gives x_i - c_i to relative accuracy.
+
+    dlasd4 fails once rho = sum w and the pole gaps are about 2^508 apart.
+    Below 2^-_RHO_RANGE times the smallest gap each length is w_i to an ulp.
+    Above cap = 2^_RHO_RANGE times the spread, the gap roots are solved at
+    rho = cap with d scaled by the spread: sum z^2 / (x - c)^2 is at least
+    z_i^2 / (x - c_i)^2 and 1 / spread^2, so that moves x_i - c_i by a factor
+    below 1 + 2^-_RHO_RANGE / z_i; it is done only where z_i > 2^(60 - _RHO_RANGE).
     """
     w = a / (math.pi * lam)
     if len(c) == 1:
         return w
     rho = float(np.sum(w))
-    # an exact power-of-two rescaling keeps d^2 and rho below 1 inside LAPACK
-    s = math.ldexp(1.0, math.frexp(max(c[-1] - c[0], rho))[1])
-    d = np.sqrt((c - c[0]) / s)
-    if not np.all(np.diff(d) > 0.0):
-        raise ToleranceError("poles merged when shifted; interval endpoints lost")
+    if rho < float(np.min(np.diff(c))) * 2.0**-_RHO_RANGE:
+        return w
     z = np.sqrt(w / rho)
+    spread = c[-1] - c[0]
+    cap = spread * 2.0**_RHO_RANGE
+    last = _secular_scale(c, rho, max(spread, rho))
+    clamp = rho > cap and np.min(z[:-1]) > 2.0 ** (60 - _RHO_RANGE)
+    inner = _secular_scale(c, cap, spread) if clamp else last
     length = np.empty(len(c))
     for i in range(len(c)):
-        delta, _, work, info = dlasd4(i, d, z, rho / s)
+        r, s, d = last if i == len(c) - 1 else inner
+        delta, _, work, info = dlasd4(i, d, z, r / s)
         length[i] = -delta[i] * work[i] * s
         if info != 0 or not math.isfinite(length[i]):
             raise ToleranceError("secular equation solver did not converge")
     return length
+
+
+def _secular_scale(c, rho, size):
+    """(rho, s, d) for dlasd4, d^2 = (c - c_0) / s below 1 for s > size."""
+    s = math.ldexp(1.0, math.frexp(size)[1])
+    d = np.sqrt((c - c[0]) / s)
+    if not np.all(np.diff(d) > 0.0):
+        raise ToleranceError("poles merged when shifted; interval endpoints lost")
+    return rho, s, d
 
 
 def hilbert_levelset_intervals(nu, lam):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, PoleError, as_int, as_point
+from .errors import DomainError, PoleError, as_floats, as_int, as_point
 
 POLE_RADIUS = 1e-12
 # (point, mass) pairs per tile of the batched transform: each of a tile's
@@ -72,7 +72,7 @@ class PointMassMeasure:
             raise DomainError("malformed measure object: %s" % exc) from exc
         if len(entries) == 0:
             raise DomainError("measure must carry at least one mass")
-        return cls(n, np.array(masses, dtype=float), np.array(centers, dtype=float))
+        return cls(n, as_floats(masses, "masses"), as_floats(centers, "centers"))
 
 
 def measure_from_json(text):

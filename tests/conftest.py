@@ -85,13 +85,20 @@ def check_whitney_properties(union, cubes, residual, max_depth):
         )
         want[sel] = True
 
+    # residual rows are the coordinates of level-max_depth cells, sorted
+    assert residual.dtype == np.int64 and residual.shape == (len(residual), n)
+    assert not residual.flags.writeable
+    assert residual.tolist() == sorted(residual.tolist())
+    pieces = [(cube.level, cube.coords) for cube in cubes]
+    pieces += [(max_depth, tuple(row)) for row in residual.tolist()]
+
     painted = np.zeros(dims, dtype=bool)
-    for cube in itertools.chain(cubes, residual):
-        assert cube.level <= max_depth
-        shift = max_depth - cube.level
+    for k, coords in pieces:
+        assert k <= max_depth
+        shift = max_depth - k
         sel = tuple(
             slice((c << shift) - l * scale, ((c + 1) << shift) - l * scale)
-            for c, l in zip(cube.coords, lo)
+            for c, l in zip(coords, lo)
         )
         assert all(
             0 <= s.start and s.stop <= d for s, d in zip(sel, dims)
@@ -101,9 +108,6 @@ def check_whitney_properties(union, cubes, residual, max_depth):
         assert want[sel].all(), "cube escapes the set"
         painted[sel] = True
     assert np.array_equal(painted, want), "decomposition does not tile the set"
-
-    for cell in residual:
-        assert cell.level == max_depth
 
     # separation against an independently computed boundary layer
     layer = {

@@ -194,8 +194,9 @@ def test_c5_whitney_cz_exactness():
 
     for u, depth, residual in kept[:9]:
         deeper = D.whitney_decompose(u, depth + 2)[1]
-        before = math.fsum(c.volume for c in residual)
-        after = math.fsum(c.volume for c in deeper)
+        # residual rows are cells of side 2^-depth and 2^-(depth + 2)
+        before = len(residual) * 2.0 ** (-u.n * depth)
+        after = len(deeper) * 2.0 ** (-u.n * (depth + 2))
         assert 0.0 < after < before
 
     ggen = np.random.default_rng(52)

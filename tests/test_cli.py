@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -119,6 +120,31 @@ def test_non_integer_json_exits_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("levelset", {"n": 1, "masses": [{"a": "2.5", "c": [0.5]}]}),
+        ("levelset", {"n": 1, "masses": [{"a": 2.5, "c": ["0.5"]}]}),
+        ("levelset", {"n": 1, "masses": [{"a": True, "c": [0.5]}]}),
+        ("levelset", {"n": 1, "masses": [{"a": 2.5, "c": [False]}]}),
+        ("cz", {"n": 1, "L": 1, "box": {"level": 0, "coords": [0]},
+                "values": ["1.5", 1.0]}),
+        ("cz", {"n": 1, "L": 1, "box": {"level": 0, "coords": [0]},
+                "values": [1.5, True]}),
+    ],
+)
+def test_non_number_json_floats_exit_2(capsys, tmp_path, command, doc):
+    # each was once read as a float: "2.5" as 2.5 and true as 1.0
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "levelset": ["levelset", "--measure", str(path), "--lambda", "1"],
+        "cz": ["cz", "--grid", str(path), "--lambda", "1", "--max-depth", "3"],
+    }[command]
+    assert cli.run(argv) == 2
+    capsys.readouterr()
+
+
 def test_hilbert_exact_single_pole(capsys, files):
     out = run_ok(
         capsys,
@@ -163,6 +189,50 @@ def test_whitney_json_and_empty_set(capsys, files):
     assert cli.run(
         ["whitney", "--set", files["empty.json"], "--max-depth", "6"]
     ) == 2
+
+
+# Fixed inputs for whitney and cz, and the sha256 of each output. The other
+# Whitney tests accept any valid tiling; these pin which cubes, residual
+# cells and pieces come out, byte for byte.
+FROZEN_RUNS = {
+    "whitney-ring-2d": (
+        ["whitney", "--max-depth", "4", "--set"],
+        {"n": 2, "L": 0, "cells": [
+            [x, y] for x in range(6) for y in range(6)
+            if not (2 <= x <= 3 and 2 <= y <= 3)]},
+        "d81514fba706e37f20a806b58624f096379f505d973d984025c29525f759a4d6",
+    ),
+    "whitney-blob-3d": (
+        ["whitney", "--max-depth", "4", "--set"],
+        {"n": 3, "L": 0, "cells": [
+            [x, y, z] for x in range(-1, 1) for y in range(2)
+            for z in range(2)] + [[1, 0, 0]]},
+        "1700687f9fd0bb61c3788d2e8a6f131828e4e2c0448bf9c41c285f8486c527a0",
+    ),
+    "cz-2d": (
+        ["cz", "--lambda", "1.0", "--max-depth", "6", "--grid"],
+        {"n": 2, "L": 3, "box": {"level": 0, "coords": [0, -1]},
+         "values": [2.0 if abs(i - 3.5) + abs(j - 3.5) <= 3 else (i + j) % 4 / 8
+                    for i in range(8) for j in range(8)]},
+        "77a515bbbf7dc6634ade485099f1f1cf16fe70b9e1c36e20a73f9787ba0ac197",
+    ),
+    "cz-3d": (
+        ["cz", "--lambda", "0.75", "--max-depth", "4", "--grid"],
+        {"n": 3, "L": 2, "box": {"level": 0, "coords": [-1, 0, 0]},
+         "values": [((i + 2 * j + 3 * k) % 5) / 2.0
+                    for i in range(4) for j in range(4) for k in range(4)]},
+        "fd2e0710f8686b4bed148adf04168db5ef52b451da4b998c81f42bc3f4dd0f84",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RUNS))
+def test_whitney_and_cz_bytes_frozen(capsys, tmp_path, name):
+    argv, doc, digest = FROZEN_RUNS[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    out = run_ok(capsys, argv + [str(path)])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cz_json(capsys, files):

@@ -125,6 +125,50 @@ def test_line_identity_with_huge_masses():
     assert got == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
+def three_masses(e):
+    centers = np.array([[0.0], [1.0], [2.0]])
+    return M.PointMassMeasure(1, np.full(3, 10.0**e), centers)
+
+
+@pytest.mark.parametrize("e", [-300, -175, -155, 155, 175, 300])
+def test_line_identity_at_extreme_weight_to_gap_ratios(e):
+    # sum w and the pole gaps are more than 2^508 apart, where dlasd4 alone
+    # does not converge
+    nu = three_masses(e)
+    got = L.hilbert_levelset_exact(nu, 1.0).value / M.total_variation(nu)
+    assert got == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+
+def test_line_limits_untaken_where_dlasd4_converges(monkeypatch):
+    # up to masses of 1e150 and down to 1e-150 every endpoint is dlasd4's at
+    # the true rho, bit for bit the same as with the limits pushed far out
+    es = range(-150, 151, 5)
+    got = [L.hilbert_levelset_intervals(three_masses(e), 1.0) for e in es]
+    monkeypatch.setattr(L, "_RHO_RANGE", 1000)
+    assert got == [L.hilbert_levelset_intervals(three_masses(e), 1.0) for e in es]
+
+
+def test_line_clamped_gap_root_keeps_relative_accuracy():
+    # rho = 1e300 is past the range of dlasd4 and above 2^500 times the
+    # spread; the gap root beside the lighter mass is w_0 / (rho + 1) = 1e-200
+    nu = M.PointMassMeasure(
+        1, math.pi * np.array([1e100, 1e300]), np.array([[0.0], [1.0]])
+    )
+    plus, _, _ = L.hilbert_levelset_intervals(nu, 1.0)
+    assert plus[0][1] == pytest.approx(1e-200, rel=1e-14)
+
+
+def test_line_tiny_gap_beside_wide_spread_is_exact_or_refused():
+    # rho is 2^530 times the smallest gap but below the spread, so no limit
+    # may be taken: the volume is exact, or the solve is refused
+    nu = M.PointMassMeasure(1, np.ones(3), np.array([[0.0], [1e-160], [1.0]]))
+    try:
+        got = L.hilbert_levelset_exact(nu, 1.0).value / 3.0
+    except ToleranceError:
+        return
+    assert got == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+
 def test_poles_merged_by_rounding_raise():
     # shifted to the first pole the last two centers round to one point
     nu = M.PointMassMeasure(1, np.ones(3), np.array([[-1e20], [1.0], [1.0 + 2**-52]]))

@@ -143,9 +143,11 @@ def test_whitney_tiles_and_separates_exactly(union):
     n, level = union.n, union.level
     m = level + DEPTH[n]
     cubes, residual = D.whitney_decompose(union, m)
-    assert all(cell.level == m for cell in residual)
+    # residual rows are level-m cells: (count, n) integer coordinates
+    assert residual.dtype == np.int64 and residual.shape == (len(residual), n)
     # cubes plus residual cover every fine cell of U exactly once
-    painted = [f for q in cubes + residual for f in fine_cells(q.level, q.coords, m)]
+    painted = [f for q in cubes for f in fine_cells(q.level, q.coords, m)]
+    painted += [tuple(row) for row in residual.tolist()]
     want = [f for c in union.cells for f in fine_cells(level, c, m)]
     assert sorted(painted) == sorted(want)
     # (2n - 1) diam(Q) <= dist(Q, complement of U), squared, in fine units;
