@@ -249,9 +249,12 @@ class ExhaustionSet:
 
 
 def _outside_balls(points, centers, radii):
-    """Whether each point lies outside every ball B(centers[k], radii[k])."""
-    d = np.linalg.norm(points[..., None, :] - centers, axis=-1)
-    return np.all(d >= radii, axis=-1)
+    """Whether each point lies outside every ball B(centers[k], radii[k]),
+    folded one ball at a time so no (points, balls, n) array is built."""
+    out = np.ones(points.shape[:-1], dtype=bool)
+    for c, r in zip(centers, radii):
+        out &= np.linalg.norm(points - c, axis=-1) >= r
+    return out
 
 
 def _freeze(arr):

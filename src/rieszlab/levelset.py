@@ -3,14 +3,14 @@
 An exact interval solver for the one dimensional kernel, a closed form for a
 single mass in any dimension, and a Monte Carlo estimator for everything
 else, drawing from covering balls mixed with the kernel's own stars. All
-estimators report the volume of {|T nu| > lambda}.
+estimators report the volume of {|T nu| > lambda}. Only the line solver
+needs scipy (LAPACK's dlasd4); it imports it on first use.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dlasd4
 
 from . import kernels, measures
 from .errors import DomainError, ToleranceError, as_positive
@@ -101,6 +101,7 @@ def _plus_roots(a, c, lam):
     last = _secular_scale(c, rho, max(spread, rho))
     clamp = rho > cap and np.min(z[:-1]) > 2.0 ** (60 - _RHO_RANGE)
     inner = _secular_scale(c, cap, spread) if clamp else last
+    from scipy.linalg.lapack import dlasd4
     length = np.empty(len(c))
     for i in range(len(c)):
         r, s, d = last if i == len(c) - 1 else inner

@@ -3,7 +3,8 @@
 The objective is the thresholded level-set volume per unit mass, evaluated
 with common random numbers so the optimizer walks a deterministic surface;
 the winning configuration is then re-evaluated on a fresh seed with a larger
-budget to strip the selection bias.
+budget to strip the selection bias. Nelder-Mead comes from scipy.optimize,
+imported by the first search that runs it.
 """
 
 import itertools
@@ -12,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from . import levelset
 from .errors import DomainError, ToleranceError, as_int
@@ -140,7 +140,9 @@ class _Tracker:
 
 
 def _run_nelder_mead(tracker, x0, crn_seed, budget):
-    res = sciopt.minimize(
+    from scipy import optimize
+
+    res = optimize.minimize(
         lambda t: -tracker.evaluate(t, crn_seed),
         x0,
         method="Nelder-Mead",

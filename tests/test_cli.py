@@ -111,6 +111,46 @@ def test_import_leaves_quadrature_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_scipy_loads_only_where_it_runs(files, tmp_path):
+    # the CLI and the commands without a line solve, Nelder-Mead or the
+    # quadrature oracle never import scipy; hilbert-exact loads LAPACK's
+    # dlasd4 once a measure has two poles
+    code = (
+        "import json, sys; from rieszlab.cli import run; code = run(sys.argv[1:]); "
+        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')])); "
+        "sys.exit(code)"
+    )
+
+    def scipy_after(argv):
+        proc = run_python(["-c", code, *argv])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().split("\n")
+        return lines[:-1], json.loads(lines[-1])
+
+    proc = run_python(["-c", "import sys, rieszlab, rieszlab.cli; "
+                       "print([m for m in sys.modules if m.startswith('scipy')])"])
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+    for argv in (
+        ["cz", "--grid", files["grid.json"], "--lambda", "1", "--max-depth", "3"],
+        ["whitney", "--set", files["unit.json"], "--max-depth", "4"],
+        ["constants", "--n", "3"],
+        ["levelset", "--measure", files["pair.json"], "--lambda", "1",
+         "--method", "mc", "--samples", "2000", "--seed", "1"],
+    ):
+        assert scipy_after(argv)[1] == [], argv
+    # lambda |{|H nu| > lambda}| / |nu| is 2 / pi; one pole needs no solve
+    out, loaded = scipy_after(["hilbert-exact", "--measure", files["delta.json"],
+                               "--lambda", "1"])
+    assert float(out[-1].split(",")[-1]) == pytest.approx(2.0 / math.pi, rel=1e-12)
+    assert loaded == []
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"n": 1, "masses": [{"a": 1.0, "c": [0.0]},
+                                                   {"a": 1.0, "c": [1.0]}]}))
+    out, loaded = scipy_after(["hilbert-exact", "--measure", str(path), "--lambda", "1"])
+    assert "scipy.linalg" in loaded
+    assert float(out[-1].split(",")[-1]) == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+
 def test_non_integer_json_exits_2(capsys, tmp_path):
     path = tmp_path / "half.json"
     path.write_text(json.dumps({"n": 1, "L": 0, "cells": [[0.5]]}))

@@ -252,6 +252,36 @@ def test_exhaustion_determinism_and_validation():
         first[0].center[0] = 5.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_outside_balls_matches_broadcast_form(n):
+    # the mask folds one ball at a time; the oracle is the one-shot
+    # (points, balls, n) broadcast it replaced, boundary points included
+    gen = np.random.default_rng(30 + n)
+    centers = gen.normal(size=(7, n))
+    radii = gen.uniform(0.2, 1.5, size=7)
+    points = gen.normal(size=(3000, n))
+    # points exactly at distance r: r is their own computed distance, and
+    # an integer offset whose length is an exact integer
+    radii[0] = np.linalg.norm(points[0] - centers[0])
+    offset = {1: [3.0], 2: [3.0, 4.0], 3: [2.0, 3.0, 6.0]}[n]
+    points[1] = centers[1] + offset
+    radii[1] = np.linalg.norm(offset)
+    assert radii[1] == {1: 3.0, 2: 5.0, 3: 7.0}[n]
+
+    def broadcast(points, centers, radii):
+        d = np.linalg.norm(points[..., None, :] - centers, axis=-1)
+        return np.all(d >= radii, axis=-1)
+
+    want = broadcast(points, centers, radii)
+    assert np.array_equal(C._outside_balls(points, centers, radii), want)
+    assert 0 < want.sum() < len(points)
+    for k in (0, 1):
+        alone = C._outside_balls(points[k:k + 1], centers[k:k + 1], radii[k:k + 1])
+        assert alone.tolist() == [True]
+    assert np.array_equal(C._outside_balls(points, centers[:0], radii[:0]),
+                          np.ones(len(points), dtype=bool))
+
+
 def test_eval_h_line_closed_form():
     # E_1 = [-1, 1]: sum of far kernel integrals at x = 3 is (1/pi) log 2
     nu = M.PointMassMeasure(1, np.array([2.0]), np.array([[0.0]]))
