@@ -175,9 +175,9 @@ def _cmd_whitney(args):
     doc = {
         "n": union.n,
         "max_depth": args.max_depth,
-        "cubes": [c.to_json_dict() for c in cubes],
-        "residual": [decomposition.DyadicCube(args.max_depth, tuple(r)).to_json_dict()
-                     for r in residual.tolist()],
+        "cubes": [{"level": row[0], "coords": row[1:]} for row in cubes.tolist()],
+        "residual": [{"level": args.max_depth, "coords": row}
+                     for row in residual.tolist()],
     }
     _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 

@@ -357,17 +357,19 @@ def build_exhaustion(nu, lam, mc_samples, seed):
 
 
 def eval_h(spec, exhaustion, x, samples, seed, threads=1):
-    """Sum over far sets of the kernel integrated over the set.
+    """Sum over far sets of the kernel integrated over the set, and its SE.
 
     A set contributes only when |x - c_k| > n r_k; its integral is Monte
-    Carlo over the set's carrying ball with the membership indicator.
+    Carlo over the set's carrying ball with the membership indicator, on its
+    own stream, so the sets' standard errors pool in quadrature. Returns
+    (value, standard_error); a set skipped as near adds 0 +- 0.
     """
     n = spec.n
     x = as_point(x, n)
     check_samples(samples)
     check_seed(seed)
 
-    total = 0.0
+    total, var = 0.0, 0.0
     for ex in exhaustion:
         kernels.check_dimension(spec, ex)
         if np.linalg.norm(x - ex.center) <= n * ex.radius:
@@ -381,6 +383,7 @@ def eval_h(spec, exhaustion, x, samples, seed, threads=1):
         partials = run_chunked(
             samples, body, seed, EVAL_H, unit=ex.index, threads=threads
         )
-        mean, _, _ = combine_mean_se(partials)
+        mean, se, _ = combine_mean_se(partials)
         total += ex.ball_volume * mean
-    return total
+        var += (ex.ball_volume * se) ** 2
+    return total, math.sqrt(var)

@@ -131,15 +131,21 @@ def cells_to_json(union):
 
 
 def _rows_lookup(table, rows):
-    """Boolean mask of which `rows` appear in `table` (both int64 (m, k))."""
+    """How many times each of `rows` appears in `table` (both int64 (m, k))."""
     if len(table) == 0 or len(rows) == 0:
-        return np.zeros(len(rows), dtype=bool)
+        return np.zeros(len(rows), dtype=np.int64)
     comb = np.concatenate([table, rows])
     _, inverse = np.unique(comb, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
-    hit = np.zeros(inverse.max() + 1, dtype=bool)
-    hit[inverse[: len(table)]] = True
-    return hit[inverse[len(table):]]
+    counts = np.bincount(inverse[: len(table)], minlength=inverse.max() + 1)
+    return counts[inverse[len(table):]]
+
+
+def _check_depth(max_depth, level):
+    max_depth = as_int(max_depth, "max_depth")
+    if max_depth < level:
+        raise DomainError("max_depth must be an integer >= the cell level")
+    return max_depth
 
 
 def _fine_distances(union, max_depth):
@@ -203,17 +209,16 @@ def _fine_distances(union, max_depth):
 def whitney_decompose(union, max_depth):
     """Split U into maximal dyadic cubes comparable to their boundary distance.
 
-    Returns (cubes, residual): a sorted list of disjoint DyadicCubes, each
+    Returns (cubes, residual), two read-only int64 tables in lexicographic
+    row order. Each row (k, m_1 .. m_n) of cubes is a disjoint dyadic cube
     passing (2n - 1) diam(Q) <= dist(Q, complement of U) in integer
-    arithmetic, and a read-only int64 (count, n) array, in lexicographic row
-    order, of the level-max_depth cells whose boundary distance falls below
-    the finest window. Together they tile U exactly.
+    arithmetic; each row (m_1 .. m_n) of residual is a level-max_depth cell
+    whose boundary distance falls below the finest window. Together they
+    tile U exactly.
     """
     if union.count == 0:
         raise DomainError("cannot decompose an empty set")
-    max_depth = as_int(max_depth, "max_depth")
-    if max_depth < union.level:
-        raise DomainError("max_depth must be an integer >= the cell level")
+    max_depth = _check_depth(max_depth, union.level)
     n = union.n
     corners, d2 = _fine_distances(union, max_depth)
 
@@ -235,7 +240,7 @@ def whitney_decompose(union, max_depth):
     for k in np.unique(levels):
         shift = max_depth - k
         rows = np.flatnonzero(cube_levels > max_depth)
-        rows = rows[_rows_lookup(fine[levels == k] >> shift, fine[rows] >> shift)]
+        rows = rows[_rows_lookup(fine[levels == k] >> shift, fine[rows] >> shift) > 0]
         cube_levels[rows] = k
 
     # exact verification: every fine cell has a cube, each cube holds all of
@@ -255,11 +260,11 @@ def whitney_decompose(union, max_depth):
     if np.any((2 * n - 1) ** 2 * n << (2 * shift) > min_d2):
         raise RuntimeError("whitney separation violated")
 
-    cubes = [DyadicCube(row[0], tuple(row[1:])) for row in keys.tolist()]
     residual = corners[residual_mask]
     residual = residual[np.lexsort(residual.T[::-1])]
+    keys.flags.writeable = False
     residual.flags.writeable = False
-    return cubes, residual
+    return keys, residual
 
 
 class GridFunction:
@@ -361,105 +366,87 @@ def cells_above(f, threshold):
 
 
 @dataclass(frozen=True)
-class CZPiece:
-    """One bad piece: the function restricted to a single Whitney cube."""
-
-    cube: DyadicCube
-    part: GridFunction
-    mass: float
-    center: tuple
-    residual: bool
-
-
-@dataclass(frozen=True)
 class CZDecomposition:
-    """Good/bad split of a grid function at a threshold.
+    """Good/bad split of a grid function f at a threshold.
 
-    good carries the function off {f > threshold}; each piece is the function
-    on one Whitney cube of that set (or on one residual cell, flagged); the
-    point-mass measure holds each piece's integral at its cube center.
+    pieces is a read-only int64 table of cube rows (k, m_1 .. m_n): the
+    Whitney cubes of {f > threshold}, then residual_count residual cells at
+    max_depth. good is f off that set and each piece f on its cube;
+    point_masses holds each piece's integral at its cube center, in row
+    order (None when there is no piece).
     """
 
     threshold: float
-    good: GridFunction
-    pieces: tuple
+    f: GridFunction
+    pieces: np.ndarray
+    residual_count: int
     point_masses: object
-    residual_cells: tuple
-    residual_measure: float
+
+    @property
+    def good(self):
+        f = self.f
+        return GridFunction(
+            f.level, f.box, np.where(f.values > self.threshold, 0.0, f.values)
+        )
+
+    @property
+    def residual_measure(self):
+        # a count times a power of two, so exact
+        r = self.residual_count
+        return r * 2.0 ** (-self.f.n * int(self.pieces[-1, 0])) if r else 0.0
 
     @property
     def bad_l1(self):
-        return math.fsum(p.mass for p in self.pieces)
+        nu = self.point_masses
+        return 0.0 if nu is None else math.fsum(nu.masses)
 
     def reconstruct(self, level=None):
-        """Good plus all pieces, as one dense value grid over the box.
+        """Good plus f once per piece, as one dense value grid over the box.
 
         The pieces tile {f > threshold} and the good part vanishes there, so
-        each output cell is written exactly once and equality with the input
-        is exact.
+        equality with the input is exact; a missing piece leaves a zero and
+        a doubled one adds f twice.
         """
-        f = self.good
-        target = max([f.level] + [p.part.level for p in self.pieces])
+        f = self.f
+        target = max([f.level] + self.pieces[:, 0].tolist())
         if level is not None:
             if level < target:
                 raise DomainError("level too coarse for the finest piece")
             target = level
-        out = f.refined_values(target)
-        shift = target - f.level
-        origin = np.asarray(f.origin, dtype=np.int64) << shift
-        for p in self.pieces:
-            vals = p.part.refined_values(target)
-            lo = (
-                np.asarray(p.cube.coords, dtype=np.int64)
-                << (target - p.cube.level)
-            ) - origin
-            sel = tuple(
-                slice(int(l), int(l) + s) for l, s in zip(lo, vals.shape)
-            )
-            out[sel] = vals
-        return GridFunction(target, f.box, out)
+        values = f.refined_values(target)
+        origin = np.asarray(f.origin, dtype=np.int64) << (target - f.level)
+        cells = np.indices(values.shape, dtype=np.int64).reshape(f.n, -1).T + origin
+        cover = np.zeros(len(cells), dtype=np.int64)
+        levels = self.pieces[:, 0]
+        for k in np.unique(levels):
+            cover += _rows_lookup(self.pieces[levels == k, 1:], cells >> (target - k))
+        cover = cover.reshape(values.shape)
+        return GridFunction(
+            target, f.box, self.good.refined_values(target) + cover * values
+        )
 
     def to_json_dict(self):
         nu = self.point_masses
-        measure_doc = (
-            nu.to_json_dict()
-            if nu is not None
-            else {"n": self.good.n, "masses": []}
-        )
+        first_residual = len(self.pieces) - self.residual_count
+        pieces = [] if nu is None else [
+            {
+                "cube": {"level": row[0], "coords": row[1:]},
+                "mass": float(a),
+                "center": [float(x) for x in c],
+                "residual": i >= first_residual,
+            }
+            for i, (row, a, c) in enumerate(
+                zip(self.pieces.tolist(), nu.masses, nu.centers)
+            )
+        ]
         return {
             "lambda": self.threshold,
             "good": self.good.to_json_dict(),
-            "pieces": [
-                {
-                    "cube": p.cube.to_json_dict(),
-                    "mass": p.mass,
-                    "center": [float(x) for x in p.center],
-                    "residual": p.residual,
-                }
-                for p in self.pieces
-            ],
-            "measure": measure_doc,
+            "pieces": pieces,
+            "measure": {"n": self.f.n, "masses": []} if nu is None
+            else nu.to_json_dict(),
             "residual_measure": self.residual_measure,
         }
-
-
-def _piece_for_cube(f, cube, residual):
-    k = cube.level
-    level = f.level
-    origin = np.asarray(f.origin, dtype=np.int64)
-    if k <= level:
-        lo = (np.asarray(cube.coords, dtype=np.int64) << (level - k)) - origin
-        side = 1 << (level - k)
-        sel = tuple(slice(int(l), int(l) + side) for l in lo)
-        vals = f.values[sel]
-        part = GridFunction(level, cube, vals)
-    else:
-        anc = tuple(c >> (k - level) for c in cube.coords)
-        idx = tuple(int(a - o) for a, o in zip(anc, origin))
-        part = GridFunction(k, cube, np.full((1,) * f.n, f.values[idx]))
-    mass = part.l1_norm
-    center = tuple(float(x) for x in cube.center)
-    return CZPiece(cube, part, mass, center, residual)
 
 
 def cz_decompose(f, threshold, max_depth):
@@ -470,23 +457,30 @@ def cz_decompose(f, threshold, max_depth):
     piece's integral sits as a point mass at its cube's center.
     """
     lam = as_positive(threshold, "threshold")
+    max_depth = _check_depth(max_depth, f.level)
     union = cells_above(f, lam)
     if union.count == 0:
-        return CZDecomposition(lam, f, (), None, (), 0.0)
+        pieces = np.zeros((0, f.n + 1), dtype=np.int64)
+        pieces.flags.writeable = False
+        return CZDecomposition(lam, f, pieces, 0, None)
     cubes, residual = whitney_decompose(union, max_depth)
+    depth = np.full((len(residual), 1), max_depth)
+    pieces = np.concatenate([cubes, np.concatenate([depth, residual], axis=1)])
+    pieces.flags.writeable = False
 
-    good_values = np.where(f.values > lam, 0.0, f.values)
-    good = GridFunction(f.level, f.box, good_values)
-
-    cells = tuple(DyadicCube(max_depth, tuple(r)) for r in residual.tolist())
-    pieces = [_piece_for_cube(f, cube, False) for cube in cubes]
-    pieces.extend(_piece_for_cube(f, cell, True) for cell in cells)
-
-    nu = PointMassMeasure(
-        n=f.n,
-        masses=np.array([p.mass for p in pieces]),
-        centers=np.array([p.center for p in pieces]),
-    )
-    # a count times a power of two, so exact
-    residual_measure = len(residual) * 2.0 ** (-f.n * max_depth)
-    return CZDecomposition(lam, good, tuple(pieces), nu, cells, residual_measure)
+    # a cube inside one grid cell gets that cell's value times its volume; a
+    # coarser cube, the exact sum over its block of cells times a cell volume
+    k, m = pieces[:, 0], pieces[:, 1:]
+    origin = np.asarray(f.origin, dtype=np.int64)
+    inside = k >= f.level
+    cell = (m[inside] >> (k[inside] - f.level)[:, None]) - origin
+    masses = np.empty(len(pieces))
+    masses[inside] = f.values[tuple(cell.T)] * np.ldexp(1.0, -f.n * k[inside])
+    for i in np.flatnonzero(~inside):
+        side = 1 << (f.level - int(k[i]))
+        lo = ((m[i] << (f.level - int(k[i]))) - origin).tolist()
+        block = f.values[tuple(slice(a, a + side) for a in lo)]
+        masses[i] = math.fsum(block.ravel()) * f.cell_volume
+    centers = (m + 0.5) * np.ldexp(1.0, -k)[:, None]
+    nu = PointMassMeasure(n=f.n, masses=masses, centers=centers)
+    return CZDecomposition(lam, f, pieces, len(residual), nu)

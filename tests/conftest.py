@@ -85,12 +85,15 @@ def check_whitney_properties(union, cubes, residual, max_depth):
         )
         want[sel] = True
 
-    # residual rows are the coordinates of level-max_depth cells, sorted
+    # cube rows are (level, coords), residual rows the coordinates of
+    # level-max_depth cells: both read-only int64 tables, sorted
+    assert cubes.dtype == np.int64 and cubes.shape == (len(cubes), n + 1)
     assert residual.dtype == np.int64 and residual.shape == (len(residual), n)
-    assert not residual.flags.writeable
+    assert not cubes.flags.writeable and not residual.flags.writeable
+    assert cubes.tolist() == sorted(cubes.tolist())
     assert residual.tolist() == sorted(residual.tolist())
-    pieces = [(cube.level, cube.coords) for cube in cubes]
-    pieces += [(max_depth, tuple(row)) for row in residual.tolist()]
+    cube_rows = [(row[0], tuple(row[1:])) for row in cubes.tolist()]
+    pieces = cube_rows + [(max_depth, tuple(row)) for row in residual.tolist()]
 
     painted = np.zeros(dims, dtype=bool)
     for k, coords in pieces:
@@ -116,9 +119,9 @@ def check_whitney_properties(union, cubes, residual, max_depth):
         for offset in itertools.product((-1, 0, 1), repeat=n)
     } - cellset
     cell_side = 2.0**-level
-    for cube in cubes:
-        side = cube.side
-        a0 = np.array(cube.coords, dtype=float) * side
+    for k, coords in cube_rows:
+        side = 2.0**-k
+        a0 = np.array(coords, dtype=float) * side
         best = math.inf
         for comp in layer:
             c0 = np.array(comp, dtype=float) * cell_side
@@ -126,4 +129,5 @@ def check_whitney_properties(union, cubes, residual, max_depth):
                 np.maximum(c0 - (a0 + side), a0 - (c0 + cell_side)), 0.0
             )
             best = min(best, float(np.sqrt(np.sum(g * g))))
-        assert (2 * n - 1) * cube.diameter <= best + 1e-12, "separation violated"
+        diameter = math.sqrt(n) * side
+        assert (2 * n - 1) * diameter <= best + 1e-12, "separation violated"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -102,22 +103,23 @@ def test_whitney_unit_interval_frozen():
     # U = [0,1) cut at depth 6: the cube ladder doubles away from each
     # endpoint and exactly two cells per side are left at the cutoff
     cubes, residual = D.whitney_decompose(D.CellUnion(1, 0, ((0,),)), 6)
-    got = [(c.level, c.coords) for c in cubes]
-    assert got == [
-        (3, (2,)), (3, (3,)), (3, (4,)), (3, (5,)),
-        (4, (2,)), (4, (3,)), (4, (12,)), (4, (13,)),
-        (5, (2,)), (5, (3,)), (5, (28,)), (5, (29,)),
-        (6, (2,)), (6, (3,)), (6, (60,)), (6, (61,)),
+    # cube rows are (level, coordinate)
+    assert cubes.tolist() == [
+        [3, 2], [3, 3], [3, 4], [3, 5],
+        [4, 2], [4, 3], [4, 12], [4, 13],
+        [5, 2], [5, 3], [5, 28], [5, 29],
+        [6, 2], [6, 3], [6, 60], [6, 61],
     ]
     # residual rows are level-6 coordinates
     assert residual.tolist() == [[0], [1], [62], [63]]
     per_side = len(residual) * 2.0**-6 / 2.0
     assert per_side <= 2 * 2.0**-6
-    for cube in cubes:
+    for k, m in cubes.tolist():
         # 2n - 1 = 1: distance to the complement of [0,1) is exact here
-        left = cube.coords[0] * cube.side
-        dist = min(left, 1.0 - (left + cube.side))
-        assert cube.diameter <= dist + 1e-15
+        side = 2.0**-k
+        left = m * side
+        dist = min(left, 1.0 - (left + side))
+        assert side <= dist + 1e-15
 
 
 def test_whitney_square_residual_decreases():
@@ -192,7 +194,7 @@ def test_cz_saturating_example():
     f = D.GridFunction(3, box, np.full((8, 8), 2 * lam))
     cz = D.cz_decompose(f, lam, 6)
     assert cz.good.sup_norm == 0.0
-    assert math.fsum(p.cube.volume for p in cz.pieces) == 1.0 <= f.l1_norm / lam
+    assert math.fsum(2.0 ** (-2 * cz.pieces[:, 0])) == 1.0 <= f.l1_norm / lam
     assert cz.bad_l1 == f.l1_norm == M.total_variation(cz.point_masses)
     rec = cz.reconstruct()
     assert np.array_equal(rec.values, f.refined_values(rec.level))
@@ -202,7 +204,8 @@ def test_cz_degenerate_below_threshold():
     box = D.DyadicCube(0, (0, 0))
     f = D.GridFunction(2, box, np.full((4, 4), 0.1))
     cz = D.cz_decompose(f, 1.0, 4)
-    assert cz.pieces == () and cz.point_masses is None
+    assert cz.pieces.shape == (0, 3) and cz.point_masses is None
+    assert cz.residual_count == 0 and cz.bad_l1 == 0.0
     assert np.array_equal(cz.good.values, f.values)
     assert cz.residual_measure == 0.0
     assert cz.to_json_dict()["measure"] == {"n": 2, "masses": []}
@@ -214,6 +217,11 @@ def test_cz_validation():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             D.cz_decompose(f, bad, 4)
+    # max_depth is checked whether or not any cell exceeds the threshold
+    for lam in (0.15, 10.0):
+        for bad in (-7, 1, 0.5, 3.0):
+            with pytest.raises(DomainError):
+                D.cz_decompose(f, lam, bad)
 
 
 def test_cz_random_grids_cell_exact():
@@ -233,22 +241,55 @@ def test_cz_random_grids_cell_exact():
         assert cz.good.l1_norm <= f.l1_norm
         union_measure = D.cells_above(f, lam).measure
         assert union_measure <= f.l1_norm / lam
-        assert math.fsum(p.cube.volume for p in cz.pieces) == union_measure
+        assert math.fsum(2.0 ** (-n * cz.pieces[:, 0])) == union_measure
         assert cz.bad_l1 <= f.l1_norm
         assert cz.bad_l1 <= 16.0 * f.l1_norm
-        if cz.pieces:
-            assert M.total_variation(cz.point_masses) == cz.bad_l1
-            res_set = set(cz.residual_cells)
-            centers = np.array([p.center for p in cz.pieces])
-            cube_centers = np.array([p.cube.center for p in cz.pieces])
-            assert np.array_equal(centers, cube_centers)
-            assert all(p.mass > 0.0 for p in cz.pieces)
-            for p in cz.pieces:
-                assert p.residual == (p.cube in res_set)
-                if p.residual:
-                    assert p.cube.level == f.level + 2
+        assert cz.pieces.dtype == np.int64 and not cz.pieces.flags.writeable
+        # the pieces are the Whitney cubes, then the residual cells at depth
+        depth = f.level + 2
+        cubes, residual = D.whitney_decompose(D.cells_above(f, lam), depth)
+        r = cz.residual_count
+        assert r == len(residual)
+        assert np.array_equal(cz.pieces[: len(cubes)], cubes)
+        assert np.array_equal(cz.pieces[len(cubes):, 0], np.full(r, depth))
+        assert np.array_equal(cz.pieces[len(cubes):, 1:], residual)
+        nu = cz.point_masses
+        assert M.total_variation(nu) == cz.bad_l1
+        assert np.all(nu.masses > 0.0)
+        # each center is (m + 1/2) 2^-k; each mass is the exact sum of f
+        # over the cube's cells at the finest piece level
+        k, m = cz.pieces[:, 0], cz.pieces[:, 1:]
+        assert np.array_equal(nu.centers, (m + 0.5) * 2.0 ** -k[:, None])
+        top = int(k.max())
+        fine = f.refined_values(top)
+        origin = np.array(f.box.coords) << (top - f.box.level)
+        for row, mass in zip(cz.pieces.tolist(), nu.masses):
+            side = 1 << (top - row[0])
+            lo = [(c << (top - row[0])) - o for c, o in zip(row[1:], origin)]
+            block = fine[tuple(slice(a, a + side) for a in lo)]
+            assert mass == math.fsum(block.ravel()) * 2.0 ** (-n * top)
         rec = cz.reconstruct()
         assert np.array_equal(rec.values, f.refined_values(rec.level))
+
+
+def test_cz_reconstruct_detects_gaps_and_overlaps():
+    gen = np.random.default_rng(203)
+    done = 0
+    while done < 6:
+        f = random_grid_function(gen, 1 + done % 3)
+        positive = f.values[f.values > 0]
+        if positive.size == 0:
+            continue
+        cz = D.cz_decompose(f, float(np.median(positive)), f.level + 1)
+        level = cz.reconstruct().level
+        want = f.refined_values(level)
+        for i in (0, len(cz.pieces) // 2, len(cz.pieces) - 1):
+            dropped = np.delete(cz.pieces, i, axis=0)
+            doubled = np.insert(cz.pieces, i, cz.pieces[i], axis=0)
+            for pieces in (dropped, doubled):
+                rec = dataclasses.replace(cz, pieces=pieces).reconstruct(level)
+                assert not np.array_equal(rec.values, want)
+        done += 1
 
 
 def test_cz_reconstruct_level_control():

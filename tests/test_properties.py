@@ -146,7 +146,7 @@ def test_whitney_tiles_and_separates_exactly(union):
     # residual rows are level-m cells: (count, n) integer coordinates
     assert residual.dtype == np.int64 and residual.shape == (len(residual), n)
     # cubes plus residual cover every fine cell of U exactly once
-    painted = [f for q in cubes for f in fine_cells(q.level, q.coords, m)]
+    painted = [f for q in cubes.tolist() for f in fine_cells(q[0], q[1:], m)]
     painted += [tuple(row) for row in residual.tolist()]
     want = [f for c in union.cells for f in fine_cells(level, c, m)]
     assert sorted(painted) == sorted(want)
@@ -158,12 +158,12 @@ def test_whitney_tiles_and_separates_exactly(union):
         for offset in itertools.product((-1, 0, 1), repeat=n)
     } - set(union.cells)
     t = m - level
-    for q in cubes:
-        s = m - q.level
+    for q in cubes.tolist():
+        s = m - q[0]
         dist2 = min(
             sum(
                 max(0, (e << t) - ((c + 1) << s), (c << s) - ((e + 1) << t)) ** 2
-                for c, e in zip(q.coords, out)
+                for c, e in zip(q[1:], out)
             )
             for out in layer
         )
