@@ -5,15 +5,14 @@ distance, containment, and measure statement is checked in exact integer
 arithmetic on the level-max_depth lattice.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_floats, as_int, as_positive
-from .measures import PointMassMeasure
+from .errors import DomainError, as_floats, as_int, as_ints, as_positive
+from .measures import PointMassMeasure, _row_ids
 
 _MAX_FINE_CELLS = 1 << 22
 _SLICE_OPS = 1 << 23
@@ -21,7 +20,7 @@ _SLICE_OPS = 1 << 23
 
 @dataclass(frozen=True)
 class DyadicCube:
-    """Half-open cube prod_i [m_i 2^-k, (m_i + 1) 2^-k) with integer data."""
+    """Half-open cube prod_i [m_i 2^-k, (m_i + 1) 2^-k): a grid's box."""
 
     level: int
     coords: tuple
@@ -41,29 +40,6 @@ class DyadicCube:
     def side(self):
         return 2.0 ** (-self.level)
 
-    @property
-    def diameter(self):
-        return math.sqrt(self.n) * self.side
-
-    @property
-    def volume(self):
-        return self.side**self.n
-
-    @property
-    def corner(self):
-        return np.array(self.coords, dtype=float) * self.side
-
-    @property
-    def center(self):
-        return (np.array(self.coords, dtype=float) + 0.5) * self.side
-
-    def ancestor(self, level):
-        """The containing cube at a coarser level."""
-        if level > self.level:
-            raise DomainError("ancestor level must not exceed the cube level")
-        shift = self.level - level
-        return DyadicCube(level, tuple(c >> shift for c in self.coords))
-
     def to_json_dict(self):
         return {"level": self.level, "coords": list(self.coords)}
 
@@ -75,25 +51,31 @@ class DyadicCube:
             raise DomainError("malformed cube document: %s" % exc) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellUnion:
-    """Finite union of half-open level-`level` cells, kept sorted and unique."""
+    """Finite union of half-open level-`level` cells.
+
+    cells is a read-only int64 (count, n) table of cell coordinates, unique
+    rows in lexicographic order; any table or nested list of integers in.
+    """
 
     n: int
     level: int
-    cells: tuple
+    cells: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "n", as_int(self.n, "dimension"))
         object.__setattr__(self, "level", as_int(self.level, "cell level"))
         if self.n < 1:
             raise DomainError("dimension must be a positive integer")
-        cells = sorted(
-            {tuple(as_int(x, "cell coordinate") for x in c) for c in self.cells}
-        )
-        if any(len(c) != self.n for c in cells):
+        cells = as_ints(self.cells, "cell coordinate")
+        if cells.shape == (0,):
+            cells = cells.reshape(0, self.n)
+        if cells.ndim != 2 or cells.shape[1] != self.n:
             raise DomainError("every cell needs exactly n coordinates")
-        object.__setattr__(self, "cells", tuple(cells))
+        cells = cells[_row_ids(cells)[1]]
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
 
     @property
     def count(self):
@@ -107,13 +89,13 @@ class CellUnion:
         return {
             "n": self.n,
             "L": self.level,
-            "cells": [list(c) for c in self.cells],
+            "cells": self.cells.tolist(),
         }
 
     @staticmethod
     def from_json_dict(doc):
         try:
-            return CellUnion(doc["n"], doc["L"], tuple(doc["cells"]))
+            return CellUnion(doc["n"], doc["L"], doc["cells"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("malformed cell-set document: %s" % exc) from exc
 
@@ -132,19 +114,16 @@ def cells_to_json(union):
 
 def _rows_lookup(table, rows):
     """How many times each of `rows` appears in `table` (both int64 (m, k))."""
-    if len(table) == 0 or len(rows) == 0:
-        return np.zeros(len(rows), dtype=np.int64)
-    comb = np.concatenate([table, rows])
-    _, inverse = np.unique(comb, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    counts = np.bincount(inverse[: len(table)], minlength=inverse.max() + 1)
-    return counts[inverse[len(table):]]
+    ids, first = _row_ids(np.concatenate([table, rows]))
+    counts = np.bincount(ids[: len(table)], minlength=len(first))
+    return counts[ids[len(table):]]
 
 
 def _check_depth(max_depth, level):
+    # below 2^62 in size, so max_depth and every level near it fit in int64
     max_depth = as_int(max_depth, "max_depth")
-    if max_depth < level:
-        raise DomainError("max_depth must be an integer >= the cell level")
+    if max_depth < level or abs(max_depth) >= 1 << 62:
+        raise DomainError("max_depth must be an integer >= the cell level, below 2^62")
     return max_depth
 
 
@@ -156,44 +135,40 @@ def _fine_distances(union, max_depth):
     layer of complement cells touching U (any shortest segment to the
     complement first crosses that layer).
     """
-    n, level = union.n, union.level
-    scale = 1 << (max_depth - level)
-    count = union.count
-    if count * scale**n > _MAX_FINE_CELLS:
+    n, level, cells, count = union.n, union.level, union.cells, union.count
+    # the shift alone is refused before a huge one is taken
+    shift = n * (max_depth - level)
+    if shift >= _MAX_FINE_CELLS.bit_length() or count << shift > _MAX_FINE_CELLS:
         raise DomainError(
-            "refinement too large: %d fine cells exceeds the %d cap"
-            % (count * scale**n, _MAX_FINE_CELLS)
+            "refinement too large: %d cells at depth %d exceed the %d fine-cell cap"
+            % (count, max_depth, _MAX_FINE_CELLS)
         )
+    scale = 1 << (max_depth - level)
 
-    cellset = set(union.cells)
-    layer = sorted(
-        {
-            tuple(c + o for c, o in zip(cell, offset))
-            for cell in union.cells
-            for offset in itertools.product((-1, 0, 1), repeat=n)
-        }
-        - cellset
-    )
-    lows = np.asarray(layer, dtype=np.int64) * scale
-    highs = lows + scale
-
-    extent = max(
-        abs(int(v)) + 1 for cell in union.cells + tuple(layer) for v in cell
-    ) * scale
+    # in Python integers, before any int64 product can wrap: no lattice value
+    # below exceeds (|cell| + 2) * scale in size
+    extent = (max(-int(cells.min()), int(cells.max())) + 2) * scale
     if n * (2 * extent) ** 2 >= 1 << 53:
         raise DomainError("cell coordinates too large for exact arithmetic")
+
+    # the complement cells touching U: U's cells moved by the 3^n offsets,
+    # deduplicated, less U itself
+    offsets = np.indices((3,) * n, dtype=np.int64).reshape(n, -1).T - 1
+    ring = (cells[:, None, :] + offsets).reshape(-1, n)
+    ring = ring[_row_ids(ring)[1]]
+    lows = ring[_rows_lookup(cells, ring) == 0] * scale
+    highs = lows + scale
 
     mesh = np.stack(
         np.meshgrid(*([np.arange(scale, dtype=np.int64)] * n), indexing="ij"),
         axis=-1,
     ).reshape(-1, n)
-    block = max(1, _SLICE_OPS // max(1, len(layer)))
+    block = max(1, _SLICE_OPS // max(1, len(lows)))
 
     corners = np.empty((count * scale**n, n), dtype=np.int64)
     d2 = np.empty(count * scale**n, dtype=np.int64)
     row = 0
-    for cell in union.cells:
-        base = np.asarray(cell, dtype=np.int64) * scale
+    for base in cells * scale:
         for start in range(0, len(mesh), block):
             pts = base + mesh[start : start + block]
             g1 = lows[None, :, :] - pts[:, None, :] - 1
@@ -249,10 +224,11 @@ def whitney_decompose(union, max_depth):
         raise RuntimeError("whitney construction failed to cover a cell")
     shift = max_depth - cube_levels
     keys = np.concatenate([cube_levels[:, None], fine >> shift[:, None]], axis=1)
-    keys, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
-                                      return_counts=True)
+    ids, first = _row_ids(keys)
+    keys = keys[first]
+    counts = np.bincount(ids)
     min_d2 = np.full(len(keys), np.iinfo(np.int64).max)
-    np.minimum.at(min_d2, inverse.reshape(-1), fine_d2)
+    np.minimum.at(min_d2, ids, fine_d2)
     shift = max_depth - keys[:, 0]
     # clamped so the shift cannot wrap: no cube holds 2^62 fine cells
     if np.any(counts != 1 << np.minimum(n * shift, 62)):
@@ -274,9 +250,13 @@ class GridFunction:
         if not isinstance(box, DyadicCube):
             raise DomainError("bounding box must be a dyadic cube")
         level = as_int(level, "grid level")
-        if level < box.level:
-            raise DomainError("grid level must be >= the box level")
+        # a box of 2^63 or more cells could never be given its values
+        if not 0 <= (level - box.level) * box.n < 63:
+            raise DomainError("grid level must be >= the box level (< 2^63 cells)")
         side = 1 << (level - box.level)
+        # absolute cell coordinates become int64 rows downstream
+        corner = [c * side for c in box.coords]
+        as_ints(corner + [c + side - 1 for c in corner], "grid cell coordinate")
         shape = (side,) * box.n
         values = np.asarray(values, dtype=float)
         if values.size != side**box.n:
@@ -358,11 +338,8 @@ def grid_to_json(f):
 
 def cells_above(f, threshold):
     """Level-L cells of the grid where the value strictly exceeds threshold."""
-    idx = np.argwhere(f.values > threshold)
     origin = np.asarray(f.origin, dtype=np.int64)
-    return CellUnion(
-        f.n, f.level, tuple(tuple(int(x) for x in origin + row) for row in idx)
-    )
+    return CellUnion(f.n, f.level, np.argwhere(f.values > threshold) + origin)
 
 
 @dataclass(frozen=True)

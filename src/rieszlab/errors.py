@@ -37,6 +37,19 @@ def as_int(value, what):
     return int(value)
 
 
+def as_ints(values, what):
+    """values (nested lists of integers) as an int64 array; DomainError for any
+    float, bool or string entry and any integer outside int64. An int64 array
+    passes as it is: np.asarray([[0, True]]) would read true as 1."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
+    items = np.asarray(values, dtype=object)
+    for v in items.ravel():
+        if not -(1 << 63) <= as_int(v, what) < 1 << 63:
+            raise DomainError("%s must fit in int64" % what)
+    return items.astype(np.int64)
+
+
 def as_floats(values, what):
     """values (nested lists of numbers) as a float array; DomainError for any
     string, bool or other non-number entry: a JSON "2.5" or true is no 2.5."""

@@ -92,21 +92,29 @@ def total_variation(nu):
     return math.fsum(nu.masses)
 
 
+def _row_ids(rows):
+    """Group the equal rows of a 2-D table: (ids, first).
+
+    ids[i] is the rank of row i among the distinct rows in lexicographic
+    order; first[r] is the index of the first copy of the rank-r row. One
+    stable lexsort, so rows that compare equal keep their input order.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
 def merge_duplicate_centers(nu):
     """Sum masses sharing exactly equal centers; output in lexicographic
     center order (delta measures at one point add)."""
-    order = np.lexsort(nu.centers.T[::-1])
-    centers = nu.centers[order]
-    masses = nu.masses[order]
-    keep_centers = [centers[0]]
-    keep_masses = [masses[0]]
-    for c, a in zip(centers[1:], masses[1:]):
-        if np.array_equal(c, keep_centers[-1]):
-            keep_masses[-1] = keep_masses[-1] + a
-        else:
-            keep_centers.append(c)
-            keep_masses.append(a)
-    return PointMassMeasure(nu.n, np.array(keep_masses), np.array(keep_centers))
+    ids, first = _row_ids(nu.centers)
+    # bincount adds each group's masses in input order, starting from 0.0
+    masses = np.bincount(ids, weights=nu.masses)
+    return PointMassMeasure(nu.n, masses, nu.centers[first])
 
 
 def kernel_tiles(spec, nu, points):

@@ -73,13 +73,14 @@ def check_whitney_properties(union, cubes, residual, max_depth):
     """
     n, level = union.n, union.level
     scale = 1 << (max_depth - level)
-    cellset = set(union.cells)
+    cells = [tuple(c) for c in union.cells.tolist()]
+    cellset = set(cells)
 
-    lo = [min(c[i] for c in union.cells) for i in range(n)]
-    hi = [max(c[i] for c in union.cells) + 1 for i in range(n)]
+    lo = [min(c[i] for c in cells) for i in range(n)]
+    hi = [max(c[i] for c in cells) + 1 for i in range(n)]
     dims = tuple((h - l) * scale for l, h in zip(lo, hi))
     want = np.zeros(dims, dtype=bool)
-    for cell in union.cells:
+    for cell in cells:
         sel = tuple(
             slice((c - l) * scale, (c - l + 1) * scale) for c, l in zip(cell, lo)
         )
@@ -115,7 +116,7 @@ def check_whitney_properties(union, cubes, residual, max_depth):
     # separation against an independently computed boundary layer
     layer = {
         tuple(c + o for c, o in zip(cell, offset))
-        for cell in union.cells
+        for cell in cells
         for offset in itertools.product((-1, 0, 1), repeat=n)
     } - cellset
     cell_side = 2.0**-level

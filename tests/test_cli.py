@@ -161,6 +161,27 @@ def test_non_integer_json_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["whitney", "--max-depth", "3", "--set"],
+         {"n": 1, "L": 0, "cells": [[2**70]]}),
+        (["cz", "--lambda", "1", "--max-depth", "3", "--grid"],
+         {"n": 1, "L": 1, "box": {"level": 0, "coords": [2**70]},
+          "values": [1.5, 1.0]}),
+        (["whitney", "--max-depth", str(2**70), "--set"],
+         {"n": 1, "L": 0, "cells": [[0]]}),
+    ],
+    ids=["whitney-cell", "cz-box", "whitney-depth"],
+)
+def test_out_of_int64_integers_exit_2(capsys, tmp_path, argv, doc):
+    # each once raised an uncaught OverflowError
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(argv + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "command, doc",
     [
         ("levelset", {"n": 1, "masses": [{"a": "2.5", "c": [0.5]}]}),

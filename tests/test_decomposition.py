@@ -18,33 +18,32 @@ from rieszlab.errors import DomainError
 
 def test_cube_geometry():
     q = D.DyadicCube(2, (3, -1))
-    assert q.n == 2
+    assert q.n == 2 and q.coords == (3, -1)
     assert q.side == 0.25
-    assert q.diameter == pytest.approx(math.sqrt(2) * 0.25, rel=1e-15)
-    assert q.volume == 0.0625
-    assert np.array_equal(q.corner, [0.75, -0.25])
-    assert np.array_equal(q.center, [0.875, -0.125])
     # negative level: side 4 squares
     big = D.DyadicCube(-2, (1,))
-    assert big.side == 4.0 and big.corner[0] == 4.0
+    assert big.n == 1 and big.side == 4.0
+    assert D.DyadicCube.from_json_dict(q.to_json_dict()) == q
+    # the box type only: cube geometry lives on (level, coords) table rows
+    for name in ("diameter", "volume", "corner", "center", "ancestor"):
+        assert not hasattr(q, name)
 
 
 def test_cube_ancestor_nesting():
-    q = D.DyadicCube(4, (13, -7))
-    a = q.ancestor(2)
-    assert a == D.DyadicCube(2, (3, -2))
-    with pytest.raises(DomainError):
-        q.ancestor(5)
+    # the level-j ancestor of row (k, m) is (j, m >> (k - j)): an arithmetic
+    # shift, so a floor also for negative coordinates
+    row = np.array([13, -7], dtype=np.int64)
+    assert (row >> (4 - 2)).tolist() == [3, -2]
     # dyadic dichotomy: sample cube pairs are either nested or disjoint
     gen = np.random.default_rng(8)
     for _ in range(200):
         k1, k2 = int(gen.integers(0, 5)), int(gen.integers(0, 5))
-        c1 = D.DyadicCube(k1, tuple(int(x) for x in gen.integers(-8, 8, size=2)))
-        c2 = D.DyadicCube(k2, tuple(int(x) for x in gen.integers(-8, 8, size=2)))
-        coarse, fine = (c1, c2) if c1.level <= c2.level else (c2, c1)
-        nested = fine.ancestor(coarse.level) == coarse
-        lo1, hi1 = coarse.corner, coarse.corner + coarse.side
-        lo2, hi2 = fine.corner, fine.corner + fine.side
+        m1 = gen.integers(-8, 8, size=2)
+        m2 = gen.integers(-8, 8, size=2)
+        (j, a), (k, b) = ((k1, m1), (k2, m2)) if k1 <= k2 else ((k2, m2), (k1, m1))
+        nested = np.array_equal(b >> (k - j), a)
+        lo1, hi1 = a * 2.0**-j, (a + 1) * 2.0**-j
+        lo2, hi2 = b * 2.0**-k, (b + 1) * 2.0**-k
         overlap = np.all(np.maximum(lo1, lo2) < np.minimum(hi1, hi2))
         assert overlap == nested
 
@@ -58,11 +57,12 @@ def test_cube_validation():
 
 def test_cell_union_canonical_and_json():
     u = D.CellUnion(2, 1, ((3, 1), (0, 0), (3, 1)))
-    assert u.cells == ((0, 0), (3, 1))
+    assert u.cells.tolist() == [[0, 0], [3, 1]]
     assert u.count == 2
     assert u.measure == 2 * 0.25
     back = D.cells_from_json(D.cells_to_json(u))
-    assert back == u
+    assert (back.n, back.level) == (u.n, u.level)
+    assert back.cells.tolist() == u.cells.tolist()
     with pytest.raises(DomainError):
         D.CellUnion(2, 0, ((0,),))
     with pytest.raises(DomainError):
@@ -87,6 +87,38 @@ def test_cells_json_rejects_non_integer_fields(n, level, cells):
     doc = {"n": n, "L": level, "cells": cells}
     with pytest.raises(DomainError):
         D.cells_from_json(json.dumps(doc))
+
+
+def test_cell_union_table_sorted_unique_read_only():
+    # an unsorted int64 table with duplicates and negative coordinates
+    table = np.array(
+        [[2, -1], [-3, 5], [2, -1], [-3, -5], [0, 0], [-3, 5]], dtype=np.int64
+    )
+    u = D.CellUnion(2, 0, table)
+    assert u.cells.tolist() == [[-3, -5], [-3, 5], [0, 0], [2, -1]]
+    assert u.cells.dtype == np.int64 and u.cells.shape == (4, 2)
+    assert not u.cells.flags.writeable
+    with pytest.raises(ValueError):
+        u.cells[0, 0] = 7
+    # the caller's table is neither reordered nor frozen
+    assert table.flags.writeable and table[0].tolist() == [2, -1]
+    # lists of tuples give the same table, and so does the JSON round trip
+    same = D.CellUnion(2, 0, [tuple(r) for r in table.tolist()[::-1]])
+    assert same.cells.tolist() == u.cells.tolist()
+    assert D.cells_from_json(D.cells_to_json(u)).cells.tolist() == u.cells.tolist()
+    empty = D.CellUnion(3, 0, [])
+    assert empty.cells.shape == (0, 3) and empty.count == 0
+
+
+@pytest.mark.parametrize(
+    "cells", [[[0, True]], [[0, 2.0]], [[0, 2**63]], [[-(2**63) - 1, 0]], [[]]]
+)
+def test_cell_union_refuses_non_int64_entries(cells):
+    # np.asarray([[0, True]]) would read true as 1 and 2.0 as 2
+    with pytest.raises(DomainError):
+        D.CellUnion(2, 0, cells)
+    with pytest.raises(DomainError):
+        D.cells_from_json(json.dumps({"n": 2, "L": 0, "cells": cells}))
 
 
 def test_grid_and_cube_json_reject_non_integer_levels():
@@ -184,7 +216,7 @@ def test_cells_above_strict():
     box = D.DyadicCube(0, (-1,))
     f = D.GridFunction(1, box, [0.5, 1.0])
     u = D.cells_above(f, 0.5)
-    assert u.cells == ((-1,),)  # strict inequality, absolute coordinates
+    assert u.cells.tolist() == [[-1]]  # strict inequality, absolute coordinates
     assert D.cells_above(f, 1.0).count == 0
 
 

@@ -242,6 +242,41 @@ def test_json_rejects_non_integer_dimension(n, c):
         M.measure_from_json(json.dumps(doc))
 
 
+def _merge_by_loop(nu):
+    # the loop merge_duplicate_centers once ran: sum in sorted center order
+    order = np.lexsort(nu.centers.T[::-1])
+    keep_centers, keep_masses = [], []
+    for c, a in zip(nu.centers[order], nu.masses[order]):
+        if keep_centers and np.array_equal(c, keep_centers[-1]):
+            keep_masses[-1] = keep_masses[-1] + a
+        else:
+            keep_centers.append(c)
+            keep_masses.append(a)
+    return np.array(keep_masses), np.array(keep_centers)
+
+
+def test_merge_duplicate_centers_matches_loop():
+    gen = np.random.default_rng(19)
+    # four copies of one centre and a -0.0/0.0 pair, which compare equal
+    centers = np.array([[0.5, 1.0], [-0.0, 2.0], [0.5, 1.0], [0.25, 0.0],
+                        [0.0, 2.0], [0.5, 1.0], [0.5, 1.0]])
+    cases = [centers]
+    for _ in range(20):
+        count = int(gen.integers(1, 40))
+        grid = gen.integers(-2, 3, size=(count, 3)) / 4.0
+        cases.append(np.where(gen.random((count, 3)) < 0.3, -grid, grid))
+    for c in cases:
+        nu = M.PointMassMeasure(c.shape[1], gen.random(len(c)) * math.pi + 0.1, c)
+        masses, kept = _merge_by_loop(nu)
+        merged = M.merge_duplicate_centers(nu)
+        # bit for bit, signed zeros included
+        assert merged.masses.tobytes() == masses.tobytes()
+        assert merged.centers.tobytes() == kept.tobytes()
+    assert M.merge_duplicate_centers(
+        M.PointMassMeasure(2, np.ones(len(centers)), centers)
+    ).centers.tolist() == [[-0.0, 2.0], [0.25, 0.0], [0.5, 1.0]]
+
+
 def test_merge_duplicate_centers():
     nu = M.PointMassMeasure(
         n=2,

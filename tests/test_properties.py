@@ -120,6 +120,37 @@ def test_stars_cover_the_level_set(n, a, spread, lam, seed):
     assert np.all(np.isfinite(w) & (w > 0.0))
 
 
+# small coordinates give duplicates; the int64 ends test the sort order
+coordinate = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), 2**63 - 1]))
+
+
+@st.composite
+def row_tables(draw):
+    width = draw(st.integers(1, 3))
+    table = st.lists(st.tuples(*[coordinate] * width), max_size=12)
+    return [np.array(draw(table), dtype=np.int64).reshape(-1, width)
+            for _ in range(2)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(tables=row_tables())
+def test_row_grouping_matches_unique(tables):
+    table, rows = tables
+    # oracle: np.unique(axis=0), the sort the grouping replaced
+    uniq, inverse, counts = np.unique(
+        table, axis=0, return_inverse=True, return_counts=True
+    )
+    ids, first = D._row_ids(table)
+    assert ids.tolist() == inverse.reshape(-1).tolist()
+    assert table[first].tolist() == uniq.tolist()
+    # first copies: the lowest index holding each distinct row
+    listed = table.tolist()
+    assert first.tolist() == [listed.index(r) for r in uniq.tolist()]
+    times = {tuple(r): c for r, c in zip(uniq.tolist(), counts.tolist())}
+    want = [times.get(tuple(r), 0) for r in rows.tolist()]
+    assert D._rows_lookup(table, rows).tolist() == want
+
+
 # fine lattice levels below the cell level, as in the Whitney unit tests
 DEPTH = {1: 6, 2: 4}
 
@@ -148,15 +179,19 @@ def test_whitney_tiles_and_separates_exactly(union):
     # cubes plus residual cover every fine cell of U exactly once
     painted = [f for q in cubes.tolist() for f in fine_cells(q[0], q[1:], m)]
     painted += [tuple(row) for row in residual.tolist()]
-    want = [f for c in union.cells for f in fine_cells(level, c, m)]
+    # the set's cells are a read-only int64 (count, n) table
+    cells = [tuple(c) for c in union.cells.tolist()]
+    assert union.cells.dtype == np.int64 and union.cells.shape == (len(cells), n)
+    assert not union.cells.flags.writeable
+    want = [f for c in cells for f in fine_cells(level, c, m)]
     assert sorted(painted) == sorted(want)
     # (2n - 1) diam(Q) <= dist(Q, complement of U), squared, in fine units;
     # the nearest complement cell touches U, so the layer around U suffices
     layer = {
         tuple(x + o for x, o in zip(c, offset))
-        for c in union.cells
+        for c in cells
         for offset in itertools.product((-1, 0, 1), repeat=n)
-    } - set(union.cells)
+    } - set(cells)
     t = m - level
     for q in cubes.tolist():
         s = m - q[0]
