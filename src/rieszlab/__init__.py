@@ -43,8 +43,6 @@ from .kernels import (
     sphere_surface_area,
 )
 from .levelset import (
-    FunctionalEstimate,
-    LevelSetEstimate,
     hilbert_levelset_exact,
     hilbert_levelset_sides,
     levelset_measure,
@@ -55,7 +53,6 @@ from .levelset import (
 )
 from .measures import (
     PointMassMeasure,
-    eval_max_truncation,
     eval_transform,
     measure_from_json,
     measure_to_json,
@@ -63,6 +60,7 @@ from .measures import (
     total_variation,
     transform_many,
 )
+from .rng import Estimate
 from .search import (
     SearchProblem,
     SearchResult,
@@ -80,10 +78,9 @@ __all__ = [
     "DomainError",
     "DyadicCube",
     "ExhaustionSet",
-    "FunctionalEstimate",
+    "Estimate",
     "GridFunction",
     "KernelSpec",
-    "LevelSetEstimate",
     "PointMassMeasure",
     "PoleError",
     "SearchProblem",
@@ -102,7 +99,6 @@ __all__ = [
     "dimensional_constant",
     "eval_h",
     "eval_kernel",
-    "eval_max_truncation",
     "eval_transform",
     "grid_from_json",
     "grid_to_json",

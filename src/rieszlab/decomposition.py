@@ -250,6 +250,12 @@ class GridFunction:
         if not isinstance(box, DyadicCube):
             raise DomainError("bounding box must be a dyadic cube")
         level = as_int(level, "grid level")
+        # 2^-1074 <= 2^(-n L) < 2^1024: the cell volume is a positive double
+        if not -1074 <= -level * box.n <= 1023:
+            raise DomainError(
+                "grid level %d: cell volume 2^%d is not a finite positive double"
+                % (level, -level * box.n)
+            )
         # a box of 2^63 or more cells could never be given its values
         if not 0 <= (level - box.level) * box.n < 63:
             raise DomainError("grid level must be >= the box level (< 2^63 cells)")

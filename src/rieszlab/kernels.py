@@ -244,13 +244,6 @@ def sphere_l1_norm(spec):
     )
 
 
-@dataclass(frozen=True)
-class SphereIntegralEstimate:
-    value: float
-    standard_error: float
-    samples: int
-
-
 def _sphere_mc(spec, func, samples, seed, stream, threads=1):
     rng.check_samples(samples)
     area = sphere_surface_area(spec.n)
@@ -263,7 +256,7 @@ def _sphere_mc(spec, func, samples, seed, stream, threads=1):
     mean, se, m = rng.combine_mean_se(
         rng.run_chunked(samples, chunk, seed, stream, threads=threads)
     )
-    return SphereIntegralEstimate(mean * area, se * area, m)
+    return rng.Estimate(mean * area, se * area, m, "mc", None)
 
 
 def sphere_l1_norm_mc(spec, samples, seed, threads=1):

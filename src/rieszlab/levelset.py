@@ -7,8 +7,8 @@ estimators report the volume of {|T nu| > lambda}. Only the line solver
 needs scipy (LAPACK's dlasd4); it imports it on first use.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .errors import DomainError, ToleranceError, as_positive
 from .rng import (
     LEVELSET,
     LEVELSET_RETRY,
+    Estimate,
     check_samples,
     check_seed,
     chunk_sizes,
@@ -32,28 +33,6 @@ _RHO_RANGE = 500  # log2 of the rho to pole gap ratio where _plus_roots takes li
 # share of each chunk that mc_levelset draws from the covering balls when it
 # also draws from the stars: the defensive part of the mixture
 BALL_SHARE = 0.1
-
-
-@dataclass(frozen=True)
-class LevelSetEstimate:
-    """Volume of {|T nu| > threshold}; exact methods report zero error."""
-
-    value: float
-    standard_error: float
-    samples: int
-    method: str
-    threshold: float
-
-
-@dataclass(frozen=True)
-class FunctionalEstimate:
-    """threshold * volume / total variation, errors propagated linearly."""
-
-    value: float
-    standard_error: float
-    samples: int
-    method: str
-    threshold: float
 
 
 def _sorted_line_measure(nu):
@@ -142,6 +121,7 @@ def hilbert_levelset_intervals(nu, lam):
     return plus, minus, math.fsum(lp) + math.fsum(lm)
 
 
+# perfbench/tracer.py wraps this by name: keep it through cleanups
 def hilbert_levelset_sides(nu, lam):
     """Intervals of {T nu > lam} and {T nu < -lam} on the line."""
     plus, minus, _ = hilbert_levelset_intervals(nu, lam)
@@ -151,7 +131,7 @@ def hilbert_levelset_sides(nu, lam):
 def hilbert_levelset_exact(nu, lam):
     """Exact volume of {|T nu| > lam} for the one dimensional kernel."""
     _, _, volume = hilbert_levelset_intervals(nu, lam)
-    return LevelSetEstimate(volume, 0.0, 0, "interval", lam)
+    return Estimate(volume, 0.0, 0, "interval", lam)
 
 
 def unit_levelset_constant(n):
@@ -176,7 +156,7 @@ def single_mass_levelset_exact(spec, nu, lam):
     if nu.count != 1:
         raise DomainError("closed form requires a single mass; use mc_levelset")
     value = float(nu.masses[0]) / lam * unit_levelset_volume(spec)
-    return LevelSetEstimate(value, 0.0, 0, "single-mass", lam)
+    return Estimate(value, 0.0, 0, "single-mass", lam)
 
 
 def covering_radii(spec, nu, lam):
@@ -369,8 +349,8 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1):
     partials = run_chunked(samples, body, seed, LEVELSET, threads=threads)
     mean, se, m = combine_mean_se(partials)
     if mean == 0.0:
-        return LevelSetEstimate(np.float64(0.0), 3.0 * cap / m, m, "mc", lam)
-    return LevelSetEstimate(mean, se, m, "mc", lam)
+        return Estimate(np.float64(0.0), 3.0 * cap / m, m, "mc", lam)
+    return Estimate(mean, se, m, "mc", lam)
 
 
 def levelset_measure(
@@ -421,10 +401,6 @@ def weaktype_functional(
         spec, nu, lam, method=method, samples=samples, seed=seed, threads=threads
     )
     scale = est.threshold / measures.total_variation(nu)
-    return FunctionalEstimate(
-        est.value * scale,
-        est.standard_error * scale,
-        est.samples,
-        est.method,
-        est.threshold,
+    return dataclasses.replace(
+        est, value=est.value * scale, standard_error=est.standard_error * scale
     )

@@ -2,8 +2,7 @@
 
 The JSON schema is {"n": int, "masses": [{"a": float, "c": [float x n]}]},
 masses strictly positive.  Transform evaluation refuses points within
-POLE_RADIUS of any center; the maximal truncation enumerates the partial
-sums of contributions ordered by decreasing distance (ties enter together).
+POLE_RADIUS of any center.
 """
 
 import json
@@ -158,35 +157,10 @@ def transform_many(spec, nu, points):
     return total
 
 
-def _off_poles(spec, nu, x):
-    """(x, |x - c_k|) for a point x farther than POLE_RADIUS from every c_k."""
-    kernels.check_dimension(spec, nu)
-    x = as_point(x, spec.n)
-    dists = np.linalg.norm(nu.centers - x, axis=1)
-    if np.min(dists) <= POLE_RADIUS:
-        raise PoleError("evaluation point within %g of a mass center" % POLE_RADIUS)
-    return x, dists
-
-
 def eval_transform(spec, nu, x):
     """T nu(x) = sum a_k K(x - c_k); x must avoid every pole."""
-    x, _ = _off_poles(spec, nu, x)
+    kernels.check_dimension(spec, nu)
+    x = as_point(x, spec.n)
+    if np.min(np.linalg.norm(nu.centers - x, axis=1)) <= POLE_RADIUS:
+        raise PoleError("evaluation point within %g of a mass center" % POLE_RADIUS)
     return float(transform_many(spec, nu, x[None, :])[0])
-
-
-def eval_max_truncation(spec, nu, x):
-    """T^# nu(x): sup over truncation radii of |sum_{|x-c_k|>eps} a_k K(x-c_k)|.
-
-    For finitely many masses this is the max over the N+1 partial sums taken
-    in order of decreasing distance, with equal distances entering together.
-    """
-    x, dists = _off_poles(spec, nu, x)
-    terms = nu.masses * kernels.kernel_values(spec, x[None, :] - nu.centers)
-    order = np.argsort(-dists, kind="stable")
-    d_sorted = dists[order]
-    sums = np.cumsum(terms[order])
-    best = 0.0
-    for idx in range(nu.count):
-        if idx == nu.count - 1 or d_sorted[idx + 1] != d_sorted[idx]:
-            best = max(best, abs(float(sums[idx])))
-    return best

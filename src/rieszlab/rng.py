@@ -9,6 +9,7 @@ do not depend on the thread count.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +84,21 @@ def run_chunked(total, fn, seed, stream, unit=0, threads=1):
         return [one(c) for c in range(len(sizes))]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, range(len(sizes))))
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A value with its standard error; exact methods report zero error.
+
+    samples is 0 on exact paths; threshold is None where none applies (sphere
+    integrals).
+    """
+
+    value: float
+    standard_error: float
+    samples: int
+    method: str
+    threshold: float
 
 
 def combine_mean_se(partials):

@@ -27,7 +27,7 @@ from .rng import (
     generator,
 )
 
-KINDS = ("auto", "nelder-mead", "simulated-annealing", "random-restart")
+KINDS = ("auto", "nelder-mead", "simulated-annealing")
 REEVAL_FACTOR = 10
 _ANNEAL_ABOVE = 20
 _START_SPREAD = 1.5
@@ -166,13 +166,6 @@ def _run_annealing(tracker, x0, crn_seed, gen, budget):
     return True
 
 
-def _run_random(tracker, x0, crn_seed, gen, budget):
-    tracker.evaluate(x0, crn_seed)
-    for _ in range(budget - 1):
-        tracker.evaluate(gen.normal(size=x0.shape) * _START_SPREAD, crn_seed)
-    return True
-
-
 def optimize(problem, threads=1):
     """Search the gauge for the best configuration of problem.count masses.
 
@@ -204,12 +197,9 @@ def optimize(problem, threads=1):
                 )
             if kind == "nelder-mead":
                 complete &= _run_nelder_mead(tracker, x0, crn, budget)
-            elif kind == "simulated-annealing":
-                gen = generator(problem.seed, SEARCH_ANNEAL, restart)
-                complete &= _run_annealing(tracker, x0, crn, gen, budget)
             else:
                 gen = generator(problem.seed, SEARCH_ANNEAL, restart)
-                complete &= _run_random(tracker, x0, crn, gen, budget)
+                complete &= _run_annealing(tracker, x0, crn, gen, budget)
 
     best = configuration(problem, tracker.best_theta)
     fresh = levelset.weaktype_functional(
@@ -274,27 +264,12 @@ def dimension_sweep(
                 restarts=restarts,
             )
             result = optimize(problem, threads=threads)
-            rows.append(
-                SweepRow(
-                    n=n,
-                    count=count,
-                    value=result.reevaluated_value,
-                    standard_error=result.reevaluated_se,
-                    evaluations=result.evaluations,
-                    status="incomplete" if result.incomplete else "ok",
-                    wall_time=time.perf_counter() - started,
-                )
-            )
+            value, se = result.reevaluated_value, result.reevaluated_se
+            evaluations = result.evaluations
+            status = "incomplete" if result.incomplete else "ok"
         except (DomainError, ToleranceError) as exc:
-            rows.append(
-                SweepRow(
-                    n=n,
-                    count=count,
-                    value=math.nan,
-                    standard_error=math.nan,
-                    evaluations=0,
-                    status="error: %s" % exc,
-                    wall_time=time.perf_counter() - started,
-                )
-            )
+            value, se, evaluations = math.nan, math.nan, 0
+            status = "error: %s" % exc
+        wall_time = time.perf_counter() - started
+        rows.append(SweepRow(n, count, value, se, evaluations, status, wall_time))
     return rows

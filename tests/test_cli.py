@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,43 @@ def test_out_of_int64_integers_exit_2(capsys, tmp_path, argv, doc):
     path.write_text(json.dumps(doc))
     assert cli.run(argv + [str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "level, argv",
+    [
+        (-2000, ["cz", "--lambda", "1", "--max-depth", "-1998"]),
+        (-2000, ["cancellation", "--n", "1", "--kind", "hilbert",
+                 "--center", "0", "--radius", "1e300"]),
+        (1100, ["cz", "--lambda", "1", "--max-depth", "1100"]),
+        (1100, ["cancellation", "--n", "1", "--kind", "hilbert",
+                "--center", "0", "--radius", "1"]),
+    ],
+    ids=["cz-coarse", "cancellation-coarse", "cz-fine", "cancellation-fine"],
+)
+def test_grid_cell_volume_outside_doubles_exits_2(capsys, tmp_path, level, argv):
+    # 2^-L is inf or 0.0 here: once numpy overflow warnings and a refusal
+    # that blamed the masses, an OverflowError or a ZeroDivisionError
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"n": 1, "L": level, "values": [2.0, 0.0],
+                                "box": {"level": level - 1, "coords": [0]}}))
+    flag = "--grid" if argv[0] == "cz" else "--density"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run(argv + [flag, str(path)]) == 2
+    assert not caught
+    assert "grid level %d" % level in capsys.readouterr().err
+
+
+def test_fine_grid_inside_doubles_still_decomposes(capsys, tmp_path):
+    # cell volume 2^-1000 is a normal double: accepted, bytes as before
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"n": 1, "L": 1000, "values": [2.0, 0.0],
+                                "box": {"level": 999, "coords": [0]}}))
+    out = run_ok(capsys, ["cz", "--grid", str(path), "--lambda", "1",
+                          "--max-depth", "1003"])
+    digest = "e91fc720cdd3538b764a3a43976fec712ad98a7f22b17a4349ba2b4d220adb0f"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -426,6 +464,11 @@ def test_exit_codes(capsys, files, monkeypatch):
     # MC without samples or seed is a validation error
     assert cli.run(
         ["weaktype", "--measure", files["pair.json"], "--lambda", "1"]
+    ) == 2
+    # the random-restart optimizer is gone: argparse refuses the choice
+    assert cli.run(
+        ["search", "--n", "2", "--count", "2", "--samples", "2000", "--seed",
+         "5", "--optimizer", "random-restart"]
     ) == 2
     capsys.readouterr()
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rieszlab
 from rieszlab import kernels as K
 from rieszlab.errors import DomainError
 
@@ -235,6 +236,8 @@ def test_sphere_l1_mc_matches_quadrature():
         est = K.sphere_l1_norm_mc(spec, 200_000, seed=seed)
         q = K.sphere_l1_quadrature(spec)
         assert abs(est.value - q) <= 3 * est.standard_error
+        assert isinstance(est, rieszlab.Estimate)
+        assert (est.samples, est.method, est.threshold) == (200_000, "mc", None)
 
 
 def test_sphere_mean_zero():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rieszlab
 from rieszlab import decomposition as D
 from rieszlab import kernels as K
 from rieszlab import levelset as L
@@ -537,6 +538,26 @@ def test_router_and_functional():
     est = L.weaktype_functional(K.riesz(2, 1), two, 1.0, samples=20000, seed=3)
     assert est.method == "mc"
     assert est.standard_error > 0.0
+
+    # every path returns one Estimate type; the functional keeps the level-set
+    # estimate's samples, method and threshold and scales value and SE by
+    # lambda / ||nu||
+    for nu, lam, kw in (
+        (dup, 0.7, {}),
+        (one, 2.0, {}),
+        (two, 1.5, {"samples": 20000, "seed": 3}),
+    ):
+        spec = K.hilbert() if nu.n == 1 else K.riesz(nu.n, 1)
+        level = L.levelset_measure(spec, nu, lam, **kw)
+        est = L.weaktype_functional(spec, nu, lam, **kw)
+        assert isinstance(level, rieszlab.Estimate)
+        assert isinstance(est, rieszlab.Estimate)
+        assert (est.samples, est.method, est.threshold) == (
+            level.samples, level.method, lam
+        )
+        scale = lam / M.total_variation(nu)
+        assert est.value == level.value * scale
+        assert est.standard_error == level.standard_error * scale
 
 
 def test_exact_values_translation_and_scale_invariant():

@@ -104,69 +104,6 @@ def test_transform_many_across_tiles_matches_direct_sum():
         )
 
 
-def test_max_truncation_frozen_example():
-    # partial sums over shrinking truncation radii: 0, 1/(1.5 pi),
-    # 1/(1.5 pi) - 1/(0.5 pi); the sup of |.| is 4/(3 pi)
-    nu = two_poles()
-    got = M.eval_max_truncation(K.hilbert(), nu, np.array([0.5]))
-    assert got == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-14)
-
-
-def test_max_truncation_tie_group():
-    # equidistant poles enter the truncation together; at the midpoint the
-    # contributions cancel and the sup is 0
-    nu = two_poles()
-    assert M.eval_max_truncation(K.hilbert(), nu, np.array([0.0])) == 0.0
-    lop = M.PointMassMeasure(
-        n=1, masses=np.array([2.0, 1.0]), centers=np.array([[-1.0], [1.0]])
-    )
-    got = M.eval_max_truncation(K.hilbert(), lop, np.array([0.0]))
-    assert got == pytest.approx(1.0 / math.pi, rel=1e-14)
-
-
-def brute_force_max_truncation(spec, nu, x):
-    d = np.linalg.norm(x[None, :] - nu.centers, axis=1)
-    cuts = np.unique(d)
-    eps = [0.5 * cuts[0], 2.0 * cuts[-1]]
-    eps.extend(0.5 * (cuts[i] + cuts[i + 1]) for i in range(len(cuts) - 1))
-    best = 0.0
-    for e in eps:
-        keep = d > e
-        if not np.any(keep):
-            continue
-        vals = K.kernel_values(spec, x[None, :] - nu.centers[keep])
-        best = max(best, abs(float(np.dot(nu.masses[keep], vals))))
-    return best
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_max_truncation_matches_brute_force(n):
-    gen = np.random.default_rng(100 + n)
-    spec = K.hilbert() if n == 1 else K.riesz(n, min(n, 2))
-    for _ in range(25):
-        nu = random_measure(gen, n, int(gen.integers(1, 8)))
-        x = gen.normal(size=n) * 2.0
-        if np.min(np.linalg.norm(x[None, :] - nu.centers, axis=1)) < 1e-6:
-            continue
-        got = M.eval_max_truncation(spec, nu, x)
-        want = brute_force_max_truncation(spec, nu, x)
-        assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
-
-
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_max_truncation_dominates_transform(n):
-    gen = np.random.default_rng(200 + n)
-    spec = K.hilbert() if n == 1 else K.riesz(n, 1)
-    for _ in range(25):
-        nu = random_measure(gen, n, int(gen.integers(1, 8)))
-        x = gen.normal(size=n) * 2.0
-        if np.min(np.linalg.norm(x[None, :] - nu.centers, axis=1)) < 1e-6:
-            continue
-        full = abs(M.eval_transform(spec, nu, x))
-        sharp = M.eval_max_truncation(spec, nu, x)
-        assert sharp >= full - 1e-13 * max(1.0, full)
-
-
 def test_translation_equivariance():
     gen = np.random.default_rng(31)
     spec = K.riesz(3, 2)
@@ -178,9 +115,6 @@ def test_translation_equivariance():
         a = M.eval_transform(spec, nu, x)
         b = M.eval_transform(spec, shifted, x + v)
         assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
-        a = M.eval_max_truncation(spec, nu, x)
-        b = M.eval_max_truncation(spec, shifted, x + v)
-        assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
 
 
 def test_pole_rejection():
@@ -189,8 +123,6 @@ def test_pole_rejection():
         M.eval_transform(K.hilbert(), nu, np.array([1.0]))
     with pytest.raises(PoleError):
         M.eval_transform(K.hilbert(), nu, np.array([1.0 + 1e-13]))
-    with pytest.raises(PoleError):
-        M.eval_max_truncation(K.hilbert(), nu, np.array([-1.0]))
     # just outside the pole radius is fine
     M.eval_transform(K.hilbert(), nu, np.array([1.0 + 1e-9]))
 
