@@ -464,6 +464,9 @@ def cz_decompose(f, threshold, max_depth):
         lo = ((m[i] << (f.level - int(k[i]))) - origin).tolist()
         block = f.values[tuple(slice(a, a + side) for a in lo)]
         masses[i] = math.fsum(block.ravel()) * f.cell_volume
+    if not np.all(masses > 0.0):  # f > threshold > 0 on U: a volume underflowed
+        raise DomainError("max_depth %d: level-%d piece masses underflow"
+                          % (max_depth, int(k[np.argmin(masses > 0.0)])))
     centers = (m + 0.5) * np.ldexp(1.0, -k)[:, None]
     nu = PointMassMeasure(n=f.n, masses=masses, centers=centers)
     return CZDecomposition(lam, f, pieces, len(residual), nu)

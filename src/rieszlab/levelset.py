@@ -3,8 +3,8 @@
 An exact interval solver for the one dimensional kernel, a closed form for a
 single mass in any dimension, and a Monte Carlo estimator for everything
 else, drawing from covering balls mixed with the kernel's own stars. All
-estimators report the volume of {|T nu| > lambda}. Only the line solver
-needs scipy (LAPACK's dlasd4); it imports it on first use.
+estimators report the volume of {|T nu| > lambda}. The line solver is plain
+numpy, measuring each root from its nearer pole to keep relative accuracy.
 """
 
 import dataclasses
@@ -29,75 +29,71 @@ from .rng import (
 )
 
 _POLE_TRIES = 64
-_RHO_RANGE = 500  # log2 of the rho to pole gap ratio where _plus_roots takes limits
+_TILE = 1 << 15  # pole sum entries per tile of roots in _line_lengths
+_TOL = 2.0**-26  # a relative Newton step below this leaves an error near _TOL^2
+_SIDES = np.array([1, -1])
 # share of each chunk that mc_levelset draws from the covering balls when it
 # also draws from the stars: the defensive part of the mixture
 BALL_SHARE = 0.1
 
 
-def _sorted_line_measure(nu):
-    if nu.n != 1:
-        raise DomainError("exact interval solver requires dimension 1")
-    c = nu.centers[:, 0]
-    order = np.argsort(c, kind="stable")
-    c = c[order]
-    a = nu.masses[order]
-    if np.any(np.diff(c) == 0.0):
-        raise DomainError(
-            "duplicate centers; apply merge_duplicate_centers first"
-        )
-    return a, c
+def _line_lengths(a, c, lam):
+    """Lengths of the intervals of {T nu > lam}, then of {T nu < -lam}, per
+    pole of the sorted centers c: with w = a / (pi lam), the roots past each
+    pole of F(x) = sum_k w_k / (x - c_k) = 1, after x -> -x on the minus side.
 
-
-def _plus_roots(a, c, lam):
-    """Lengths x_i - c_i of the intervals of {T nu > lam}, one per pole, for
-    sorted centers c; each interval opens at its pole c_i.
-
-    The right endpoints solve the secular equation sum_k w_k / (x - c_k) = 1
-    with w = a / (pi lam), one in each gap (c_i, c_{i+1}) and one beyond
-    c_max. With d = sqrt(c - c_0), sigma^2 = x - c_0 and rho z^2 = w it is
-    LAPACK's singular value secular equation
-    1 + rho sum z_k^2 / (d_k^2 - sigma^2) = 0, which dlasd4 solves stably in
-    O(N) per root (R.-C. Li, LAPACK Working Note 89). It returns d_k - sigma
-    and d_k + sigma, whose product gives x_i - c_i to relative accuracy.
-
-    dlasd4 fails once rho = sum w and the pole gaps are about 2^508 apart.
-    Below 2^-_RHO_RANGE times the smallest gap each length is w_i to an ulp.
-    Above cap = 2^_RHO_RANGE times the spread, the gap roots are solved at
-    rho = cap with d scaled by the spread: sum z^2 / (x - c)^2 is at least
-    z_i^2 / (x - c_i)^2 and 1 / spread^2, so that moves x_i - c_i by a factor
-    below 1 + 2^-_RHO_RANGE / z_i; it is done only where z_i > 2^(60 - _RHO_RANGE).
+    Each root is measured from its nearer pole c_p (R.-C. Li, LAPACK Working
+    Note 89) with offsets d_k = c_k - c_p from the input, exact for close poles
+    (Sterbenz). There G = tau (F - 1) = sum_k w_k r_k - tau, tau = x - c_p,
+    r_k = tau / (tau - d_k) in [-1, 1], is concave: Newton's step from past the
+    root (a gap's midpoint, or rho = sum w past the last pole) stays past it,
+    and multiplies tau by q / (q - G), q = sum_k w_k r_k^2 > 0, so no difference
+    of near values enters it. The one scaling kept is a power of two that
+    brings rho and the spread below 2^1020, so no sum overflows.
     """
-    w = a / (math.pi * lam)
-    if len(c) == 1:
-        return w
-    rho = float(np.sum(w))
-    if rho < float(np.min(np.diff(c))) * 2.0**-_RHO_RANGE:
-        return w
-    z = np.sqrt(w / rho)
-    spread = c[-1] - c[0]
-    cap = spread * 2.0**_RHO_RANGE
-    last = _secular_scale(c, rho, max(spread, rho))
-    clamp = rho > cap and np.min(z[:-1]) > 2.0 ** (60 - _RHO_RANGE)
-    inner = _secular_scale(c, cap, spread) if clamp else last
-    from scipy.linalg.lapack import dlasd4
-    length = np.empty(len(c))
-    for i in range(len(c)):
-        r, s, d = last if i == len(c) - 1 else inner
-        delta, _, work, info = dlasd4(i, d, z, r / s)
-        length[i] = -delta[i] * work[i] * s
-        if info != 0 or not math.isfinite(length[i]):
-            raise ToleranceError("secular equation solver did not converge")
-    return length
-
-
-def _secular_scale(c, rho, size):
-    """(rho, s, d) for dlasd4, d^2 = (c - c_0) / s below 1 for s > size."""
-    s = math.ldexp(1.0, math.frexp(size)[1])
-    d = np.sqrt((c - c[0]) / s)
-    if not np.all(np.diff(d) > 0.0):
-        raise ToleranceError("poles merged when shifted; interval endpoints lost")
-    return rho, s, d
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = a / (math.pi * lam)
+        rho = float(np.add.reduce(w))
+        if not 0.0 < rho < math.inf:
+            raise DomainError("interval lengths under- or overflow at this threshold")
+        n = len(c)
+        top = math.frexp(max(rho, c[-1] / 2 - c[0] / 2))[1]
+        scale = math.ldexp(1.0, min(0, 1020 - top))
+        w, c, rho = w * scale, c * scale, rho * scale
+        # row j opens at c_j on the plus side, row n + j closes there on the
+        # minus side; its partner is the next pole outward, itself for the last
+        own = np.arange(2 * n) % n
+        side = np.repeat(_SIDES, n)[:, None]
+        partner = np.minimum(np.maximum(own + side[:, 0], 0), n - 1)
+        lengths = np.empty(2 * n)
+        step = max(1, _TILE // n)  # rows per tile, so memory stays O(N _TILE)
+        for t in range(0, 2 * n, step):
+            o, p, s = own[t : t + step], partner[t : t + step], side[t : t + step]
+            gap = s * (c[p] - c[o])[:, None]
+            tau = np.where(gap > 0.0, 0.5 * gap, rho)
+            d = s * (c - c[o][:, None])
+            for i in range(64):
+                u = tau - d
+                r = tau / u
+                # w_k r_k as tau (w_k / u_k) keeps its digits where r_k is subnormal
+                wr = tau * (w / u)
+                wr = np.where(np.isfinite(wr), wr, w * r)
+                g = np.add.reduce(wr, 1, keepdims=True) - tau
+                q = np.add.reduce(wr * r, 1, keepdims=True)
+                if i == 0:
+                    # G > 0: root in the partner's half; from there r_k and G negate
+                    flip = (g > 0.0) & (gap > 0.0)
+                    tau, g = np.where(flip, -tau, tau), np.where(flip, -g, g)
+                    d = s * (c - c[np.where(flip[:, 0], p, o)][:, None])
+                new = tau * np.fmin(q / (q - g), 1.0)
+                # a root below the normal range stops moving, or is 0 (nan: skipped)
+                if np.fmin.reduce(new / tau, None) >= 1.0 - _TOL:
+                    break
+                tau = new
+            else:
+                raise ToleranceError("secular equation solver did not converge")
+            lengths[t : t + step] = (new + np.where(flip, gap, 0.0))[:, 0]
+    return lengths / scale
 
 
 def hilbert_levelset_intervals(nu, lam):
@@ -106,19 +102,22 @@ def hilbert_levelset_intervals(nu, lam):
 
     Each positive-side interval opens at a pole; each negative-side interval
     closes at one (the reflection x -> -x swaps the sides). The volume sums
-    the lengths that _plus_roots finds to relative accuracy, not right - left
+    the lengths that _line_lengths finds to relative accuracy, not right - left
     of the rounded endpoints, so an interval shorter than the spacing of
     doubles near its pole still counts.
     """
     lam = as_positive(lam, "threshold")
-    a, c = _sorted_line_measure(nu)
-    lp = _plus_roots(a, c, lam)
-    lm = _plus_roots(a[::-1], -c[::-1], lam)
-    rp = c + lp
-    rm = -c[::-1] + lm
-    plus = [(float(c[k]), float(rp[k])) for k in range(len(c))]
-    minus = [(-float(rm[k]), float(c[::-1][k])) for k in range(len(c))][::-1]
-    return plus, minus, math.fsum(lp) + math.fsum(lm)
+    if nu.n != 1:
+        raise DomainError("exact interval solver requires dimension 1")
+    order = nu.centers[:, 0].argsort(kind="stable")
+    c = nu.centers[order, 0]
+    if np.logical_or.reduce(c[1:] == c[:-1]):
+        raise DomainError("duplicate centers; apply merge_duplicate_centers first")
+    lengths = _line_lengths(nu.masses[order], c, lam)
+    lp, lm = lengths[: len(c)], lengths[len(c) :]
+    plus = list(zip(c.tolist(), (c + lp).tolist()))
+    minus = list(zip((c - lm).tolist(), c.tolist()))
+    return plus, minus, math.fsum(lengths)
 
 
 # perfbench/tracer.py wraps this by name: keep it through cleanups
@@ -374,8 +373,6 @@ def levelset_measure(
         else:
             method = "mc"
     if method in ("interval", "vieta", "bisection"):
-        if spec.n != 1:
-            raise DomainError("interval solver applies to the n = 1 kernel only")
         return hilbert_levelset_exact(measures.merge_duplicate_centers(nu), lam)
     if method == "single-mass":
         return single_mass_levelset_exact(

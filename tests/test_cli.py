@@ -113,9 +113,8 @@ def test_import_leaves_quadrature_unloaded():
 
 
 def test_scipy_loads_only_where_it_runs(files, tmp_path):
-    # the CLI and the commands without a line solve, Nelder-Mead or the
-    # quadrature oracle never import scipy; hilbert-exact loads LAPACK's
-    # dlasd4 once a measure has two poles
+    # only Nelder-Mead and the quadrature oracle import scipy: the CLI, these
+    # commands and hilbert-exact, whose line solver is plain numpy, never do
     code = (
         "import json, sys; from rieszlab.cli import run; code = run(sys.argv[1:]); "
         "print(json.dumps([m for m in sys.modules if m.startswith('scipy')])); "
@@ -148,7 +147,7 @@ def test_scipy_loads_only_where_it_runs(files, tmp_path):
     path.write_text(json.dumps({"n": 1, "masses": [{"a": 1.0, "c": [0.0]},
                                                    {"a": 1.0, "c": [1.0]}]}))
     out, loaded = scipy_after(["hilbert-exact", "--measure", str(path), "--lambda", "1"])
-    assert "scipy.linalg" in loaded
+    assert loaded == []
     assert float(out[-1].split(",")[-1]) == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
@@ -206,6 +205,18 @@ def test_grid_cell_volume_outside_doubles_exits_2(capsys, tmp_path, level, argv)
         assert cli.run(argv + [flag, str(path)]) == 2
     assert not caught
     assert "grid level %d" % level in capsys.readouterr().err
+
+
+def test_cz_depth_past_the_double_range_names_the_depth(capsys, tmp_path):
+    # pieces finer than level 1074 have volume 2^-1076 = 0.0: the input at
+    # fault is --max-depth, so the refusal names it, not the masses
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"n": 1, "L": 1074, "values": [2.0, 0.0],
+                                "box": {"level": 1073, "coords": [0]}}))
+    argv = ["cz", "--grid", str(path), "--lambda", "1", "--max-depth", "1076"]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert "max_depth 1076" in err and "level-1076 piece masses underflow" in err
 
 
 def test_fine_grid_inside_doubles_still_decomposes(capsys, tmp_path):
@@ -483,15 +494,16 @@ def test_exit_codes(capsys, files, monkeypatch):
 
 
 def test_hilbert_exact_solves_each_side_once(capsys, files, monkeypatch):
-    solve = cli.levelset._plus_roots
+    # both sides are one stacked solve
+    solve = cli.levelset._line_lengths
     calls = []
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(cli.levelset, "_plus_roots", counted)
+    monkeypatch.setattr(cli.levelset, "_line_lengths", counted)
     argv = ["hilbert-exact", "--measure", files["delta.json"], "--lambda", "1"]
     rows = parse_csv(run_ok(capsys, argv))
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert float(rows[-1]["value"]) == pytest.approx(2.0 / math.pi, rel=1e-12)

@@ -133,25 +133,15 @@ def three_masses(e):
 
 @pytest.mark.parametrize("e", [-300, -175, -155, 155, 175, 300])
 def test_line_identity_at_extreme_weight_to_gap_ratios(e):
-    # sum w and the pole gaps are more than 2^508 apart, where dlasd4 alone
-    # does not converge
+    # sum w and the pole gaps are more than 2^508 apart
     nu = three_masses(e)
     got = L.hilbert_levelset_exact(nu, 1.0).value / M.total_variation(nu)
     assert got == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
-def test_line_limits_untaken_where_dlasd4_converges(monkeypatch):
-    # up to masses of 1e150 and down to 1e-150 every endpoint is dlasd4's at
-    # the true rho, bit for bit the same as with the limits pushed far out
-    es = range(-150, 151, 5)
-    got = [L.hilbert_levelset_intervals(three_masses(e), 1.0) for e in es]
-    monkeypatch.setattr(L, "_RHO_RANGE", 1000)
-    assert got == [L.hilbert_levelset_intervals(three_masses(e), 1.0) for e in es]
-
-
 def test_line_clamped_gap_root_keeps_relative_accuracy():
-    # rho = 1e300 is past the range of dlasd4 and above 2^500 times the
-    # spread; the gap root beside the lighter mass is w_0 / (rho + 1) = 1e-200
+    # rho = 1e300 dwarfs the spread; the gap root beside the lighter mass is
+    # w_0 / (rho + 1) = 1e-200
     nu = M.PointMassMeasure(
         1, math.pi * np.array([1e100, 1e300]), np.array([[0.0], [1.0]])
     )
@@ -170,11 +160,84 @@ def test_line_tiny_gap_beside_wide_spread_is_exact_or_refused():
     assert got == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
-def test_poles_merged_by_rounding_raise():
-    # shifted to the first pole the last two centers round to one point
+def test_poles_merged_by_rounding_keep_the_identity():
+    # shifted to the first pole the last two centers would round to one
+    # point; measured from their own poles the roots between them stay apart
     nu = M.PointMassMeasure(1, np.ones(3), np.array([[-1e20], [1.0], [1.0 + 2**-52]]))
-    with pytest.raises(ToleranceError):
-        L.hilbert_levelset_exact(nu, 1.0)
+    got = L.hilbert_levelset_exact(nu, 1.0).value / 3.0
+    assert got == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+
+def mp_line_lengths(a, c):
+    """Interval lengths of sum a / (pi (x - c)) = 1 past each pole, then of
+    the same after x -> -x, for sorted c: 1400-bit roots, each measured from
+    its nearer pole and certified by a sign change within 2^-300 of it."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workprec(1400):
+        w = [mp.mpf(float(x)) / mp.pi for x in a]
+        out = []
+        for side in (1, -1):
+            cs = [mp.mpf(side * float(x)) for x in c][::side]
+            ws = w[::side]
+            n = len(cs)
+
+            def r(p, tau):  # tau / (tau - d_k), d_k = c_k - c_p
+                return [tau / (tau - (ck - cs[p])) for ck in cs]
+
+            def G(p, tau):  # tau (F(c_p + tau) - 1)
+                return sum(wk * rk for wk, rk in zip(ws, r(p, tau))) - tau
+
+            def q(p, tau):
+                return sum(wk * rk**2 for wk, rk in zip(ws, r(p, tau)))
+
+            lengths = []
+            for j in range(n):
+                p, tau = j, sum(ws)
+                if j < n - 1:
+                    half = (cs[j + 1] - cs[j]) / 2
+                    p, tau = (j + 1, -half) if G(j, half) > 0 else (j, half)
+                for _ in range(200):  # Newton from past the root
+                    g = G(p, tau)
+                    step = tau * g / (g - q(p, tau))
+                    tau -= step
+                    if abs(step) < abs(tau) * mp.mpf(2) ** -600:
+                        break
+                eps = mp.mpf(2) ** -300
+                assert G(p, tau * (1 - eps)) * G(p, tau * (1 + eps)) <= 0
+                lengths.append(float(tau + cs[p] - cs[j]))
+            out += lengths[::side]
+        return np.array(out)
+
+
+def assert_lengths_match_mpmath(a, c):
+    a, c = np.asarray(a, float), np.asarray(c, float)
+    got = L._line_lengths(a, c, 1.0)
+    want = mp_line_lengths(a, c)
+    normal = want >= np.finfo(float).tiny
+    assert np.all(np.abs(got - want)[normal] <= 1e-15 * want[normal]), (got, want)
+
+
+@pytest.mark.parametrize(
+    "masses,centers",
+    [((1.0, 1.0, 1.0), (0.0, 1e-16, 1.0)), ((1e100, 1e-120), (0.0, 1.0))],
+)
+def test_line_lengths_beside_tiny_gaps_and_light_masses_match_mpmath(masses, centers):
+    # a gap of 1e-16 beside a spread of 1, and a length of 1e-220 beside a mass
+    # 1e220 times heavier: each root must be measured from its nearer pole
+    assert_lengths_match_mpmath(masses, centers)
+
+
+def test_line_lengths_match_mpmath_across_the_double_range():
+    # N = 2..5, gaps 10^-200..1, centers scaled by 10^+-50 and masses up to
+    # 10^+-300: every length in the normal range is within 1e-15 of mpmath
+    gen = np.random.default_rng(7)
+    for _ in range(100):
+        n = int(gen.integers(2, 6))
+        gaps = 10.0 ** gen.uniform(-200, 0, n - 1)
+        c = np.cumsum(np.concatenate([[0.0], gaps])) * 10.0 ** gen.uniform(-50, 50)
+        e = gen.uniform(0, 300)
+        if np.all(np.diff(c) > 0):
+            assert_lengths_match_mpmath(10.0 ** gen.uniform(-e, e, n), c)
 
 
 def test_exact_solver_rejects_duplicates_and_bad_threshold():
