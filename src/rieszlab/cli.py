@@ -7,6 +7,7 @@ All floating point output uses 17 significant digits so doubles round-trip.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -133,10 +134,10 @@ def _cmd_verify_kernel(args):
 
 def _cmd_hilbert_exact(args):
     nu = measures.measure_from_json(_read(args.measure))
-    plus, minus, volume = levelset.hilbert_levelset_intervals(nu, args.lam)
-    rows = [("plus", left, right, right - left) for left, right in plus]
-    rows += [("minus", left, right, right - left) for left, right in minus]
-    total = args.lam * volume / measures.total_variation(nu)
+    plus, minus, lengths = levelset.hilbert_levelset_intervals(nu, args.lam)
+    sides = ["plus"] * len(plus) + ["minus"] * len(minus)
+    rows = [(s, *ends, v) for s, ends, v in zip(sides, plus + minus, lengths)]
+    total = args.lam * math.fsum(lengths) / measures.total_variation(nu)
     rows.append(("total", None, None, total))
     _emit(args, _csv(("side", "left", "right", "value"), rows))
 

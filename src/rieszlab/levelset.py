@@ -2,9 +2,10 @@
 
 An exact interval solver for the one dimensional kernel, a closed form for a
 single mass in any dimension, and a Monte Carlo estimator for everything
-else, drawing from covering balls mixed with the kernel's own stars. All
-estimators report the volume of {|T nu| > lambda}. The line solver is plain
-numpy, measuring each root from its nearer pole to keep relative accuracy.
+else, drawing from one component per mass: the kernel's own star, or a ball
+that holds it. All estimators report the volume of {|T nu| > lambda}. The
+line solver is plain numpy, measuring each root from its nearer pole to keep
+relative accuracy.
 """
 
 import dataclasses
@@ -17,10 +18,10 @@ from .errors import DomainError, ToleranceError, as_positive
 from .rng import (
     LEVELSET,
     LEVELSET_RETRY,
+    MIN_SAMPLES,
     Estimate,
     check_samples,
     check_seed,
-    chunk_sizes,
     combine_mean_se,
     generator,
     run_chunked,
@@ -32,9 +33,10 @@ _POLE_TRIES = 64
 _TILE = 1 << 15  # pole sum entries per tile of roots in _line_lengths
 _TOL = 2.0**-26  # a relative Newton step below this leaves an error near _TOL^2
 _SIDES = np.array([1, -1])
-# share of each chunk that mc_levelset draws from the covering balls when it
-# also draws from the stars: the defensive part of the mixture
-BALL_SHARE = 0.1
+# mc_levelset's components sit at SHRINK times the star thresholds, so they
+# strictly contain the level set: one mass drawn MIN_SAMPLES times misses at
+# least once except with probability 2^-40
+SHRINK = 2.0 ** (-40 / MIN_SAMPLES)
 
 
 def _line_lengths(a, c, lam):
@@ -97,13 +99,14 @@ def _line_lengths(a, c, lam):
 
 
 def hilbert_levelset_intervals(nu, lam):
-    """(plus, minus, volume): the intervals of {T nu > lam} and {T nu < -lam}
-    on the line as (left, right) pairs, and their total length.
+    """(plus, minus, lengths): the intervals of {T nu > lam} and
+    {T nu < -lam} on the line as (left, right) pairs, and their lengths,
+    plus side first.
 
     Each positive-side interval opens at a pole; each negative-side interval
-    closes at one (the reflection x -> -x swaps the sides). The volume sums
-    the lengths that _line_lengths finds to relative accuracy, not right - left
-    of the rounded endpoints, so an interval shorter than the spacing of
+    closes at one (the reflection x -> -x swaps the sides). The lengths are
+    the ones _line_lengths finds to relative accuracy, not right - left of
+    the rounded endpoints, so an interval shorter than the spacing of
     doubles near its pole still counts.
     """
     lam = as_positive(lam, "threshold")
@@ -117,7 +120,7 @@ def hilbert_levelset_intervals(nu, lam):
     lp, lm = lengths[: len(c)], lengths[len(c) :]
     plus = list(zip(c.tolist(), (c + lp).tolist()))
     minus = list(zip((c - lm).tolist(), c.tolist()))
-    return plus, minus, math.fsum(lengths)
+    return plus, minus, lengths.tolist()
 
 
 # perfbench/tracer.py wraps this by name: keep it through cleanups
@@ -129,8 +132,8 @@ def hilbert_levelset_sides(nu, lam):
 
 def hilbert_levelset_exact(nu, lam):
     """Exact volume of {|T nu| > lam} for the one dimensional kernel."""
-    _, _, volume = hilbert_levelset_intervals(nu, lam)
-    return Estimate(volume, 0.0, 0, "interval", lam)
+    _, _, lengths = hilbert_levelset_intervals(nu, lam)
+    return Estimate(math.fsum(lengths), 0.0, 0, "interval", lam)
 
 
 def unit_levelset_constant(n):
@@ -163,7 +166,8 @@ def covering_radii(spec, nu, lam):
 
     Outside the union of B(c_k, rho_k) the triangle inequality gives
     |T nu| <= sum_k a_k sup|Omega| / rho_k^n = lam, so the open level set
-    is contained in the union.
+    is contained in the union. mc_levelset does not draw from these balls
+    (see _Proposal); the benchmark tracer reports their volume.
     """
     lam = as_positive(lam, "threshold")
     sup = kernels.omega_sup(spec)
@@ -186,75 +190,54 @@ def star_thresholds(nu, lam):
 class _Proposal:
     """Where mc_levelset draws its points, and the density it weights by.
 
-    Ball rows come from the covering balls, ball k with probability
-    proportional to its volume. For Riesz kernels with n >= 2 a chunk's
-    first round(BALL_SHARE * size) rows are ball rows and the rest come from
-    the stars of star_thresholds, star k with probability proportional to
-    |S_k| = (a_k / t_k) 2 / (pi n). Elsewhere every row is a ball row.
+    Mass k has one component, at the threshold t'_k = SHRINK t_k of
+    star_thresholds: for Riesz kernels with n >= 2 the star
+    {a_k |K(. - c_k)| > t'_k}, of volume (a_k / t'_k) 2 / (pi n); otherwise
+    the ball about c_k of radius (sup|Omega| a_k / t'_k)^(1/n), which holds
+    that star and is it for n = 1. Component k is picked with probability
+    |component k| / V, so a point held by `count` components has density
+    count / V.
     """
 
     def __init__(self, spec, nu, lam):
         n = spec.n
         self.spec, self.nu, self.lam = spec, nu, lam
-        self.rho = covering_radii(spec, nu, lam / 2.0 if n == 1 else lam)
-        self.rho2 = self.rho * self.rho
-        vols = kernels.ball_volume(n) * self.rho**n
-        self.vtot = float(np.sum(vols))
-        self.ball_pick = np.cumsum(vols) / self.vtot
-        self.t = None
-        if spec.kind == kernels.RIESZ and n >= 2:
-            self.t = star_thresholds(nu, lam)
-            reach = nu.masses / self.t
+        self.t = SHRINK * star_thresholds(nu, lam)
+        reach = nu.masses / self.t
+        self.stars = spec.kind == kernels.RIESZ and n >= 2
+        if self.stars:
             vols = reach * unit_levelset_constant(n)
-            self.vstar = float(np.sum(vols))
-            self.star_pick = np.cumsum(vols) / self.vstar
-            # S_k is c_k plus the unit star of uniform_star scaled by this
+            # star k is c_k plus the unit star of uniform_star scaled by this
             self.scale = (reach * kernels.normalization(spec)) ** (1.0 / n)
+        else:
+            self.scale = (reach * kernels.omega_sup(spec)) ** (1.0 / n)
+            vols = kernels.ball_volume(n) * self.scale**n
+            self.rho2 = self.scale * self.scale
+        self.vtot = float(np.sum(vols))
+        self.pick = np.cumsum(vols) / self.vtot
 
-    def ball_rows(self, size):
-        return size if self.t is None else round(BALL_SHARE * size)
-
-    def max_weight(self, samples):
-        """min(V_ball / alpha, V_star / (1 - alpha)), alpha the share of ball
-        rows over the chunks of `samples` (V_ball with the balls alone).
-
-        Wherever the level set is, q >= alpha / V_ball and
-        q >= (1 - alpha) / V_star, so this bounds the weight of a hit (up to
-        the rounding of each chunk's share), and a draw hits with
-        probability at least |set| / bound.
-        """
-        if self.t is None:
-            return self.vtot
-        share = sum(map(self.ball_rows, chunk_sizes(samples))) / samples
-        return min(self.vtot / share, self.vstar / (1.0 - share))
-
-    def draw(self, gen, size, balls):
-        """(mass index, point) per row; the first `balls` rows from the balls."""
+    def draw(self, gen, size):
+        """`size` points, each uniform in a component picked by volume."""
         nu, n = self.nu, self.spec.n
-        u = gen.random(size)
-        idx = np.empty(size, dtype=np.intp)
-        idx[:balls] = np.searchsorted(self.ball_pick, u[:balls], side="right")
-        if balls < size:
-            idx[balls:] = np.searchsorted(self.star_pick, u[balls:], side="right")
+        idx = np.searchsorted(self.pick, gen.random(size), side="right")
         np.minimum(idx, nu.count - 1, out=idx)
         pts = np.take(nu.centers, idx, axis=0)
-        pts[:balls] += self.rho[idx[:balls], None] * uniform_ball(gen, balls, n)
-        if balls < size:
-            scale = self.scale[idx[balls:]]
-            pts[balls:] += uniform_star(gen, size - balls, n, self.spec.j - 1, scale)
-        return idx, pts
+        if self.stars:
+            pts += uniform_star(gen, size, n, self.spec.j - 1, self.scale[idx])
+        else:
+            pts += self.scale[idx, None] * uniform_ball(gen, size, n)
+        return pts
 
     def evaluate(self, pts):
-        """(|T nu| > lam, balls and stars that hold the row, at a pole).
+        """(|T nu| > lam, components that hold the row, at a pole).
 
         One pass over tiles of masses (measures.kernel_tiles): r2 is formed
-        once per (row, mass) pair and gives the pole test, the ball count
-        and K; a_k K gives the star count and T nu.
+        once per (row, mass) pair and gives the pole test, the ball test and
+        K; a_k K gives the star test and T nu.
         """
         rows = pts.shape[0]
         total = np.zeros(rows)
-        cover = np.zeros(rows, dtype=np.int32)
-        star = np.zeros(rows, dtype=np.int32)
+        count = np.zeros(rows, dtype=np.int32)
         pole = np.zeros(rows, dtype=bool)
         pole2 = measures.POLE_RADIUS**2
         masses, t = self.nu.masses, self.t
@@ -262,58 +245,40 @@ class _Proposal:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for tile, r2, vals in measures.kernel_tiles(self.spec, self.nu, pts):
                 pole |= np.any(r2 <= pole2, axis=0)
-                cover += np.sum(r2 <= self.rho2[tile, None], axis=0, dtype=np.int32)
                 vals *= masses[tile, None]
-                if t is not None:
-                    star += np.sum(
-                        np.abs(vals) > t[tile, None], axis=0, dtype=np.int32
-                    )
+                if self.stars:
+                    inside = np.abs(vals) > t[tile, None]
+                else:
+                    inside = r2 <= self.rho2[tile, None]
+                count += np.sum(inside, axis=0, dtype=np.int32)
                 total += vals.sum(axis=0)
-        return np.abs(total) > self.lam, cover, star, pole
+        return np.abs(total) > self.lam, count, pole
 
-    def weights(self, hit, cover, star, balls):
-        """1 / q at the hits and 0 elsewhere, for a chunk with `balls` ball rows.
-
-        q mixes the ball and star densities cover / V_ball and star / V_star
-        in the chunk's own shares (a deterministic mixture allocation, Owen &
-        Zhou, JASA 2000), so the estimate stays unbiased.
-        """
-        if self.t is None:
-            return np.where(hit, self.vtot / np.maximum(cover, 1), 0.0)
-        size = hit.size
-        q = (balls / self.vtot) * cover + ((size - balls) / self.vstar) * star
-        return np.divide(size, q, out=np.zeros(size), where=hit)
+    def weights(self, hit, count):
+        """1 / q = V / count at the hits and 0 elsewhere."""
+        return np.divide(self.vtot, count, out=np.zeros(hit.size), where=hit)
 
 
 def mc_levelset(spec, nu, lam, samples, seed, threads=1):
     """Monte Carlo volume of {|T nu| > lam}.
 
-    Points come from a defensive mixture (Hesterberg, Technometrics 1995)
-    that strictly contains the level set, and each hit x is weighted by
-    1 / q(x), q the mixture density. Its parts:
+    Points come from one iid mixture, _Proposal: one component per mass, the
+    kernel's own star at a share SHRINK t_k of lam (a ball that holds it for
+    second-order kernels and n = 1), picked in proportion to its volume. The
+    shares SHRINK t_k sum to less than lam, so where |T nu| > lam some
+    component holds the point with room to spare: the mixture strictly
+    contains the level set, and each hit x is weighted by 1 / q(x) = V /
+    count(x), V the total volume. The weights therefore always have positive
+    variance, even where one star is nearly the whole set (one mass): the SE
+    is a genuine sampling error, never 0 by construction, and as the rows
+    are iid it is the honest one.
 
-    - the covering balls at lam (covering_radii): |Omega| is not constant
-      on the sphere for n >= 2, so they are never the level set itself;
-    - for Riesz kernels with n >= 2, the stars S_k = {a_k |K(. - c_k)| > t_k}
-      of star_thresholds, t_k proportional to sqrt(a_k) and summing to lam.
-      They cover the level set with the least total volume. A share
-      BALL_SHARE of each chunk's rows still comes from the balls, so the
-      proposal is strictly wider than the set even where one star is the
-      whole set (one mass). Second-order kernels draw from the balls alone.
-
-    For n = 1 |Omega| is constant, and the covering balls of one mass (or of
-    equal masses at one center) are exactly the level set, so every draw
-    would hit with the same weight. There the balls are the covering balls
-    at lam / 2, twice the volume, which a single mass hits with probability
-    1/2. The weights therefore always have positive variance: the SE is a
-    genuine sampling error, never 0 by construction. When not one of the m
-    draws hits, the value is 0.0 and the SE is the rule-of-three bound
-    3 min(V_ball / alpha, V_star / (1 - alpha)) / m, alpha the share of ball
-    rows (3 V_ball / m with the balls alone): a hit probability above 3/m
-    would have given a hit with probability above 95%. The value is then a
-    numpy zero, so a relative error se / value is inf rather than a
-    ZeroDivisionError. The estimate is unbiased and byte identical across
-    thread counts for a fixed seed.
+    When not one of the m draws hits, the value is 0.0 and the SE is the
+    rule-of-three bound 3 V / m: a hit probability above 3/m would have
+    given a hit with probability above 95%. The value is then a numpy zero,
+    so a relative error se / value is inf rather than a ZeroDivisionError.
+    The estimate is unbiased and byte identical across thread counts for a
+    fixed seed.
     """
     lam = as_positive(lam, "threshold")
     kernels.check_dimension(spec, nu)
@@ -321,34 +286,31 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1):
     check_seed(seed)
 
     prop = _Proposal(spec, nu, lam)
-    cap = prop.max_weight(samples)
-    # combine_mean_se squares the sum of the weights
-    if not math.isfinite((samples * cap) * (samples * cap)):
+    # combine_mean_se squares the sum of the weights, each at most V
+    if not math.isfinite((samples * prop.vtot) * (samples * prop.vtot)):
         raise DomainError("threshold too small: the MC sums overflow; scale nu and it up")
 
     def body(gen, size, chunk_index):
-        balls = prop.ball_rows(size)
-        _, pts = prop.draw(gen, size, balls)
-        hit, cover, star, pole = prop.evaluate(pts)
+        pts = prop.draw(gen, size)
+        hit, count, pole = prop.evaluate(pts)
         # a draw can land on a pole only with vanishing probability; redraw
-        # those rows from the retry stream, each from its own component, so
-        # the estimate stays unbiased
+        # those rows from the retry stream, so the estimate stays unbiased
         for tries in range(_POLE_TRIES):
             rows = np.flatnonzero(pole)
             if rows.size == 0:
                 break
             retry = generator(seed, LEVELSET_RETRY, unit=chunk_index, chunk=tries)
-            _, pts[rows] = prop.draw(retry, rows.size, np.count_nonzero(rows < balls))
-            hit[rows], cover[rows], star[rows], pole[rows] = prop.evaluate(pts[rows])
+            pts[rows] = prop.draw(retry, rows.size)
+            hit[rows], count[rows], pole[rows] = prop.evaluate(pts[rows])
         else:
             raise ToleranceError("could not draw sample points off the poles")
-        w = prop.weights(hit, cover, star, balls)
+        w = prop.weights(hit, count)
         return float(np.sum(w)), float(np.sum(w * w)), size
 
     partials = run_chunked(samples, body, seed, LEVELSET, threads=threads)
     mean, se, m = combine_mean_se(partials)
     if mean == 0.0:
-        return Estimate(np.float64(0.0), 3.0 * cap / m, m, "mc", lam)
+        return Estimate(np.float64(0.0), 3.0 * prop.vtot / m, m, "mc", lam)
     return Estimate(mean, se, m, "mc", lam)
 
 

@@ -268,6 +268,22 @@ def test_hilbert_exact_single_pole(capsys, files):
     assert float(plus[0]["right"]) == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
+def test_hilbert_exact_rows_are_the_solved_lengths(capsys, tmp_path):
+    # masses 1e-20 give intervals of about 3e-21 beside poles at 1 and 2,
+    # far below the spacing of doubles there: right - left would read 0
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"n": 1, "masses": [
+        {"a": 1e-20, "c": [0.0]}, {"a": 1e-20, "c": [1.0]}, {"a": 1e-20, "c": [2.0]}]}))
+    rows = parse_csv(run_ok(capsys, ["hilbert-exact", "--measure", str(path),
+                                     "--lambda", "1"]))
+    lengths = [float(r["value"]) for r in rows[:-1]]
+    assert len(lengths) == 6 and min(lengths) > 0.0
+    total = float(rows[-1]["value"])
+    assert total == pytest.approx(2.0 / math.pi, rel=1e-12)
+    # the total is lambda times the summed rows over |nu| = 3e-20
+    assert math.fsum(lengths) / 3e-20 == pytest.approx(total, rel=1e-12)
+
+
 def test_levelset_and_weaktype_rows(capsys, files):
     rows = parse_csv(
         run_ok(

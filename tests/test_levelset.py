@@ -383,8 +383,8 @@ def test_mc_memory_does_not_grow_with_masses():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mc_all_miss_reports_rule_of_three_bound(seed):
     # 10^4 unit masses spread far apart in 5-D: a draw hits with probability
-    # about (1 - alpha) sum(a) / (sum sqrt(a))^2 = 9e-5, and not one of 1000
-    # draws does; the bound is 3 min(V_ball / alpha, V_star / (1 - alpha)) / m
+    # about SHRINK sum(a) / (sum sqrt(a))^2 = 1e-4, and not one of 1000
+    # draws does; the bound is 3 V / m, V the total volume of the components
     spec = K.riesz(5, 1)
     nu = M.PointMassMeasure(
         n=5,
@@ -392,21 +392,19 @@ def test_mc_all_miss_reports_rule_of_three_bound(seed):
         centers=np.random.default_rng(0).normal(size=(10_000, 5)) * 100,
     )
     est = L.mc_levelset(spec, nu, 1.0, 1000, seed=seed)
-    vball = K.ball_volume(5) * float(np.sum(L.covering_radii(spec, nu, 1.0) ** 5))
-    vstar = float(np.sum(nu.masses / L.star_thresholds(nu, 1.0))) * 2 / (5 * math.pi)
-    alpha = L.BALL_SHARE
+    reach = float(np.sum(nu.masses / (L.SHRINK * L.star_thresholds(nu, 1.0))))
     assert est.value == 0.0
     assert est.standard_error > 0.0
     assert est.standard_error == pytest.approx(
-        3.0 * min(vball / alpha, vstar / (1.0 - alpha)) / 1000, rel=1e-12
+        3.0 * reach * 2 / (5 * math.pi) / 1000, rel=1e-12
     )
     # a numpy zero: the relative error is inf, not a ZeroDivisionError
     with np.errstate(divide="ignore"):
         assert est.standard_error / est.value == math.inf
-    # second-order kernels draw from the balls alone: the bound is 3 V_ball / m
+    # second-order kernels draw from balls of volume |B| sup|Omega| a_k / t'_k
     spec = K.second_order(5, 1, 2)
     est = L.mc_levelset(spec, nu, 1.0, 1000, seed=seed)
-    vball = K.ball_volume(5) * float(np.sum(L.covering_radii(spec, nu, 1.0) ** 5))
+    vball = K.ball_volume(5) * K.omega_sup(spec) * reach
     assert est.value == 0.0
     assert est.standard_error == pytest.approx(3.0 * vball / 1000, rel=1e-12)
 
@@ -436,32 +434,49 @@ def riesz_measure(gen, n, count):
 
 @pytest.mark.parametrize("n,j", [(2, 1), (2, 2), (3, 2), (5, 1), (5, 5)])
 def test_star_draws_lie_in_their_stars(n, j):
+    # centers far apart, so the components are disjoint and each draw's
+    # component is the one about its nearest center
     gen = np.random.default_rng(10 * n + j)
     nu = riesz_measure(gen, n, 6)
-    spec = K.riesz(n, j)
+    nu = M.PointMassMeasure(n, nu.masses, nu.centers * 1000.0)
     lam = 0.7
     t = L.star_thresholds(nu, lam)
     assert math.fsum(t) == pytest.approx(lam, rel=1e-12)
     assert np.allclose(t / np.sqrt(nu.masses), t[0] / math.sqrt(nu.masses[0]))
-    idx, pts = L._Proposal(spec, nu, lam).draw(gen, 20000, 0)
-    vals = nu.masses[idx] * np.abs(K.kernel_values(spec, pts - nu.centers[idx]))
-    assert np.all(vals >= t[idx] * (1.0 - 1e-12))
-    # star k is drawn with probability |S_k| / V_star, |S_k| = (a_k / t_k) 2 / (pi n)
+    t = L.SHRINK * t
+    # component k is drawn with probability proportional to a_k / t'_k
     p = (nu.masses / t) / np.sum(nu.masses / t)
-    counts = np.bincount(idx, minlength=nu.count)
-    assert np.all(np.abs(counts - 20000 * p) <= 4.0 * np.sqrt(20000 * p * (1 - p)))
+    for spec in (K.riesz(n, j), K.second_order(n, 1, j)):
+        pts = L._Proposal(spec, nu, lam).draw(gen, 20000)
+        off = pts[:, None, :] - nu.centers[None, :, :]
+        idx = np.argmin(np.sum(off * off, axis=2), axis=1)
+        off = pts - nu.centers[idx]
+        if spec.kind == K.RIESZ:
+            # the star {a_k |K(. - c_k)| > t'_k}
+            vals = nu.masses[idx] * np.abs(K.kernel_values(spec, off))
+            assert np.all(vals >= t[idx] * (1.0 - 1e-12))
+        else:
+            # the ball of radius (sup|Omega| a_k / t'_k)^(1/n)
+            rho = (K.omega_sup(spec) * nu.masses / t) ** (1.0 / n)
+            assert np.all(np.linalg.norm(off, axis=1) <= rho[idx] * (1.0 + 1e-12))
+        counts = np.bincount(idx, minlength=nu.count)
+        assert np.all(np.abs(counts - 20000 * p) <= 4.0 * np.sqrt(20000 * p * (1 - p)))
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_mc_agrees_with_plain_box_sampling(n):
-    # overlapping stars and balls: a point in several of them must weigh
+@pytest.mark.parametrize(
+    "spec",
+    [K.riesz(2, 1), K.riesz(3, 1), K.second_order(3, 1, 2), K.hilbert()],
+    ids=["2", "3", "second3", "line"],
+)
+def test_mc_agrees_with_plain_box_sampling(spec):
+    # overlapping components: a point in several of them must weigh
     # 1 / q with q counting all of them; the reference samples a box around
     # the covering balls uniformly and counts hits
+    n = spec.n
     gen = np.random.default_rng(90 + n)
     nu = M.PointMassMeasure(
         n=n, masses=gen.uniform(0.3, 2.0, 4), centers=gen.normal(size=(4, n)) * 0.3
     )
-    spec = K.riesz(n, 1)
     est = L.mc_levelset(spec, nu, 1.0, 200_000, seed=5)
     rho = np.max(L.covering_radii(spec, nu, 1.0))
     lo, hi = nu.centers.min(axis=0) - rho, nu.centers.max(axis=0) + rho
@@ -472,6 +487,31 @@ def test_mc_agrees_with_plain_box_sampling(n):
     p = hits.mean()
     ref, ref_se = box * p, box * math.sqrt(p * (1 - p) / m)
     assert abs(est.value - ref) <= 4.0 * math.hypot(est.standard_error, ref_se)
+
+
+def se_honesty_ratio(spec, nu, lam, exact, seeds=400, samples=4000):
+    """RMS reported SE over the RMS error about the exact value."""
+    ests = [L.mc_levelset(spec, nu, lam, samples, seed) for seed in range(seeds)]
+    se = math.sqrt(math.fsum(e.standard_error**2 for e in ests) / seeds)
+    spread = math.sqrt(math.fsum((e.value - exact) ** 2 for e in ests) / seeds)
+    return se / spread
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [K.riesz(2, 1), K.riesz(3, 2), K.riesz(5, 1), K.second_order(3, 1, 2), K.hilbert()],
+    ids=["riesz2", "riesz3", "riesz5", "second3", "line3"],
+)
+def test_mc_standard_error_matches_the_spread_over_seeds(spec):
+    # exact cases: one mass for n >= 2, three masses on the line; a stratified
+    # proposal read as iid overstates the SE, here 1.4 to 1.6 times at n = 3, 5
+    n = spec.n
+    if n == 1:
+        nu = M.PointMassMeasure(1, np.array([1.0, 0.5, 2.0]), np.array([[0.0], [0.4], [1.5]]))
+    else:
+        nu = M.PointMassMeasure(n, np.array([1.3]), np.full((1, n), 0.2))
+    exact = L.levelset_measure(spec, nu, 0.8).value
+    assert 0.8 <= se_honesty_ratio(spec, nu, 0.8, exact) <= 1.25
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

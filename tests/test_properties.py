@@ -103,21 +103,23 @@ def test_mc_levelset_power_of_two_scaling_is_exact(a, centers, lam, k, seed):
     seed=st.integers(0, 2**32),
 )
 def test_stars_cover_the_level_set(n, a, spread, lam, seed):
-    # |T nu| > lam = sum t_k forces some a_k |K(x - c_k)| > t_k
+    # |T nu| > lam > sum t'_k forces some a_k |K(x - c_k)| > t'_k: points
+    # from the covering balls, which hold the whole level set, and from the
+    # proposal itself have count >= 1 wherever they hit
     gen = np.random.default_rng(seed)
     spec = K.riesz(n, 1 + seed % n)
     nu = M.PointMassMeasure(n, a, gen.normal(size=(len(a), n)) * spread)
     prop = L._Proposal(spec, nu, lam)
     draws = rng.generator(seed, rng.LEVELSET)
-    _, pts = prop.draw(draws, 4000, 4000)
-    hit, _, star, pole = prop.evaluate(pts)
-    assert np.all(star[hit & ~pole] >= 1)
-    # so every hit of the mixture has q > 0: a finite, positive weight
-    balls = prop.ball_rows(4000)
-    _, pts = prop.draw(draws, 4000, balls)
-    hit, cover, star, pole = prop.evaluate(pts)
-    w = prop.weights(hit, cover, star, balls)[hit & ~pole]
-    assert np.all(np.isfinite(w) & (w > 0.0))
+    k = draws.integers(0, nu.count, 4000)
+    rho = L.covering_radii(spec, nu, lam)
+    wide = nu.centers[k] + rho[k, None] * rng.uniform_ball(draws, 4000, n)
+    for pts in (wide, prop.draw(draws, 4000)):
+        hit, count, pole = prop.evaluate(pts)
+        assert np.all(count[hit & ~pole] >= 1)
+        # so every hit has q > 0: a finite, positive weight
+        w = prop.weights(hit, count)[hit & ~pole]
+        assert np.all(np.isfinite(w) & (w > 0.0))
 
 
 # small coordinates give duplicates; the int64 ends test the sort order
