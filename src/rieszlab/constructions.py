@@ -168,14 +168,18 @@ def cancellation_integral(spec, b, a, c, r, quad_depth=2):
     if not abs(a - b.l1_norm) <= 1e-10 * max(1.0, b.l1_norm):
         raise DomainError("point mass must equal the density's integral")
 
-    # farthest vertex of every positive cell must stay inside B(c, r)
+    # farthest vertex of every positive cell must stay inside B(c, r); in
+    # units of r, so that the squares neither overflow nor underflow, and a
+    # coordinate past r escapes before any square is taken
     idx = np.argwhere(b.values > 0.0)
     if idx.size:
         cell = 2.0**-b.level
         origin = np.asarray(b.origin, dtype=np.int64)
         lo = (origin + idx) * cell
-        far = np.maximum(np.abs(lo - c), np.abs(lo + cell - c))
-        if np.max(np.sqrt(np.sum(far**2, axis=1))) > r * (1.0 + 1e-12):
+        far = np.maximum(np.abs(lo - c), np.abs(lo + cell - c)) / r
+        if np.max(far) > 1.0 + 1e-12 or np.max(
+            np.sqrt(np.sum(far**2, axis=1))
+        ) > 1.0 + 1e-12:
             raise DomainError("density support escapes the stated ball")
     else:
         return CancellationResult(0.0, 0.0, n * r)
@@ -199,11 +203,19 @@ def cancellation_integral(spec, b, a, c, r, quad_depth=2):
     lo, pending = _radial_breaks(n * r, n)
     for _ in range(_MAX_PANELS + len(pending)):
         hi = pending.pop(0) if pending else 2.0 * lo
-        rho = 0.5 * (hi - lo) * radial_t + 0.5 * (hi + lo)
-        rw = 0.5 * (hi - lo) * radial_w
-        y = c + (rho[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-        f = integrand(y).reshape(_RADIAL_ORDER, len(dirs))
-        value += float(rw @ (f @ dweights * rho ** (n - 1)))
+        # near either end of the double range a panel's radii or kernel
+        # values stop being finite: refused below, so no warning either
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rho = 0.5 * (hi - lo) * radial_t + 0.5 * (hi + lo)
+            rw = 0.5 * (hi - lo) * radial_w
+            y = c + (rho[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+            f = integrand(y).reshape(_RADIAL_ORDER, len(dirs))
+            value += float(rw @ (f @ dweights * rho ** (n - 1)))
+        if not (math.isfinite(hi) and math.isfinite(value)):
+            raise DomainError(
+                "support radius %r leaves the double range: the cancellation "
+                "panel out to radius %r is not finite" % (r, hi)
+            )
         lo = hi
         if pending:
             continue

@@ -3,8 +3,9 @@
 The objective is the thresholded level-set volume per unit mass, evaluated
 with common random numbers so the optimizer walks a deterministic surface;
 the winning configuration is then re-evaluated on a fresh seed with a larger
-budget to strip the selection bias. Nelder-Mead comes from scipy.optimize,
-imported by the first search that runs it.
+budget to strip the selection bias. Nelder-Mead is scipy.optimize's
+non-adaptive variant written out in numpy: it makes the same evaluations in
+the same order, so a search needs no scipy.
 """
 
 import itertools
@@ -139,16 +140,76 @@ class _Tracker:
         return est.value
 
 
-def _run_nelder_mead(tracker, x0, crn_seed, budget):
-    from scipy import optimize
+class _BudgetSpent(Exception):
+    """The evaluation budget ran out; the call that would exceed it is not made."""
 
-    res = optimize.minimize(
-        lambda t: -tracker.evaluate(t, crn_seed),
-        x0,
-        method="Nelder-Mead",
-        options={"maxfev": budget, "xatol": 1e-4, "fatol": 1e-7},
-    )
-    return bool(res.success)
+
+def _run_nelder_mead(tracker, x0, crn_seed, budget):
+    """Minimize -value from x0 in at most budget evaluations.
+
+    This is scipy.optimize.minimize(method="Nelder-Mead") with maxfev=budget,
+    xatol=1e-4 and fatol=1e-7, step for step: the same simplex, the same float
+    expressions, the same argsort and the same hard cap, which can end a
+    shrink midway. The tracker keeps the first best value it sees and the
+    trace records each improvement, so any other order of evaluations would
+    change the result. Returns True if the simplex converged within budget.
+    """
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= budget:
+            raise _BudgetSpent
+        calls += 1
+        return -tracker.evaluate(x, crn_seed)
+
+    dim = len(x0)
+    sim = np.tile(x0, (dim + 1, 1))
+    for k in range(dim):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    try:
+        fsim = np.array([f(x) for x in sim], dtype=float)
+        # scipy sorts after the first evaluations, again before its first
+        # step and after every step (here at the top of the loop); with ties
+        # the default (unstable) argsort can reorder sorted input, so no sort
+        # may be dropped
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        while calls < budget:
+            ind = np.argsort(fsim)
+            sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+            if (
+                np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-4
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-7
+            ):
+                return True
+            xbar = np.add.reduce(sim[:-1], 0) / dim
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if shrink:
+                    for j in range(1, dim + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+                else:
+                    sim[-1], fsim[-1] = xc, fxc
+    except _BudgetSpent:
+        pass
+    return False
 
 
 def _run_annealing(tracker, x0, crn_seed, gen, budget):

@@ -113,8 +113,9 @@ def test_import_leaves_quadrature_unloaded():
 
 
 def test_scipy_loads_only_where_it_runs(files, tmp_path):
-    # only Nelder-Mead and the quadrature oracle import scipy: the CLI, these
-    # commands and hilbert-exact, whose line solver is plain numpy, never do
+    # only the quadrature oracle of verify-kernel imports scipy: the CLI,
+    # these commands, search and sweep, whose Nelder-Mead is plain numpy, and
+    # hilbert-exact, whose line solver is plain numpy, never do
     code = (
         "import json, sys; from rieszlab.cli import run; code = run(sys.argv[1:]); "
         "print(json.dumps([m for m in sys.modules if m.startswith('scipy')])); "
@@ -136,6 +137,10 @@ def test_scipy_loads_only_where_it_runs(files, tmp_path):
         ["constants", "--n", "3"],
         ["levelset", "--measure", files["pair.json"], "--lambda", "1",
          "--method", "mc", "--samples", "2000", "--seed", "1"],
+        ["search", "--n", "2", "--count", "2", "--samples", "1000",
+         "--seed", "1", "--iterations", "8"],
+        ["sweep", "--ns", "1,2", "--counts", "1,2", "--samples", "1000",
+         "--seed", "1", "--iterations", "8"],
     ):
         assert scipy_after(argv)[1] == [], argv
     # lambda |{|H nu| > lambda}| / |nu| is 2 / pi; one pole needs no solve
@@ -391,6 +396,25 @@ def test_cancellation_non_finite_mass_exits_2(capsys, files):
                 "--center", "2", "--radius", "0.5", "--mass", bad]
         assert cli.run(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("level, radius", [(-1000, "1e302"), (1000, "1.5e-301")])
+def test_cancellation_radius_past_the_double_range_exits_2(capsys, tmp_path,
+                                                           level, radius):
+    # the support lies inside the ball at both ends; once the coarse end
+    # overflowed the support check and the fine end printed inf,inf, exit 0
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"n": 1, "L": level, "values": [2.0, 0.0],
+                                "box": {"level": level - 1, "coords": [0]}}))
+    argv = ["cancellation", "--n", "1", "--density", str(path),
+            "--center", "0", "--radius", radius]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run(argv) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert "support radius %r" % float(radius) in err
+    assert "escapes" not in err
 
 
 def test_exhaustion_table(capsys, files):

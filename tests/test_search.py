@@ -57,7 +57,7 @@ def test_gauge_invariance_of_functional():
     assert a.value == b.value and a.standard_error == b.standard_error
 
 
-@pytest.mark.parametrize("kind", ["simulated-annealing"])
+@pytest.mark.parametrize("kind", ["nelder-mead", "simulated-annealing"])
 def test_alternate_optimizers(kind):
     problem = S.SearchProblem(
         K.riesz(2, 1), 2, 3000, 17, iterations=40, kind=kind, restarts=2
@@ -70,6 +70,58 @@ def test_alternate_optimizers(kind):
     again = S.optimize(problem)
     assert again.value == result.value
     assert np.array_equal(again.best.centers, result.best.centers)
+
+
+class _Recorder:
+    """Stands in for the tracker: records each point, returns -fun there."""
+
+    def __init__(self, fun):
+        self.fun, self.points = fun, []
+
+    def evaluate(self, theta, seed):
+        self.points.append(np.array(theta, dtype=float))
+        return -self.fun(theta)
+
+
+def _rosenbrock(x):
+    return np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2) + np.sum((1.0 - x) ** 2)
+
+
+_CLOUD = np.random.default_rng(4).normal(size=(300, 6))
+
+
+def _plateaus(x):
+    # minus the share of a fixed cloud inside the unit ball around x: flat
+    # between jumps, like the CRN objective, so ties and shrinks are common
+    d = _CLOUD[:, : len(x)] - x
+    return -np.mean(np.sum(d * d, axis=1) < 1.0)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("fun", [_rosenbrock, _plateaus])
+def test_nelder_mead_matches_scipy(fun, dim):
+    # the port makes scipy's evaluations in scipy's order, bit for bit; a
+    # budget can end it mid-expansion or mid-shrink
+    from scipy import optimize
+
+    starts = [np.zeros(dim), np.random.default_rng(dim).normal(size=dim) * 1.5]
+    outcomes = set()
+    for x0 in starts:
+        for budget in [*range(dim + 2, 61), 2000]:
+            ours = _Recorder(fun)
+            complete = S._run_nelder_mead(ours, x0, 0, budget)
+            ref = _Recorder(fun)
+            res = optimize.minimize(
+                lambda t: -ref.evaluate(t, 0),
+                x0,
+                method="Nelder-Mead",
+                options={"maxfev": budget, "xatol": 1e-4, "fatol": 1e-7},
+            )
+            assert len(ours.points) == len(ref.points) == res.nfev
+            assert all(map(np.array_equal, ours.points, ref.points)), budget
+            assert complete == res.success
+            outcomes.add(complete)
+    assert outcomes == {True, False}
 
 
 def test_incomplete_flag_on_tiny_budget():
