@@ -16,17 +16,20 @@ import numpy as np
 from . import kernels, measures
 from .errors import DomainError, ToleranceError, as_positive
 from .rng import (
+    CHUNK,
     LEVELSET,
     LEVELSET_RETRY,
     MIN_SAMPLES,
+    UNIT_CACHE_BYTES,
     Estimate,
     check_samples,
     check_seed,
     combine_mean_se,
     generator,
     run_chunked,
+    scale_star,
     uniform_ball,
-    uniform_star,
+    unit_star,
 )
 
 _POLE_TRIES = 64
@@ -197,6 +200,12 @@ class _Proposal:
     that star and is it for n = 1. Component k is picked with probability
     |component k| / V, so a point held by `count` components has density
     count / V.
+
+    A draw is a unit draw, which depends on no measure (the picking
+    uniforms and a unit star or ball per point, from rng.unit_star or
+    rng.uniform_ball), followed by this proposal's map, place: pick by
+    searchsorted, then shift to the center and scale by the component's
+    size. draw(gen, size) is the two in turn.
     """
 
     def __init__(self, spec, nu, lam):
@@ -216,17 +225,35 @@ class _Proposal:
         self.vtot = float(np.sum(vols))
         self.pick = np.cumsum(vols) / self.vtot
 
+    def unit(self, gen, size):
+        """The draws of `size` points that depend on no measure, as a tuple
+        of arrays: the uniforms that pick the components, then the pieces of
+        a unit star (unit_star) or a unit ball draw (uniform_ball). A
+        function of the generator's cell, size, n and the component shape.
+        """
+        u = gen.random(size)
+        if self.stars:
+            return (u,) + unit_star(gen, size, self.spec.n)
+        return u, uniform_ball(gen, size, self.spec.n)
+
+    def place(self, block):
+        """The points of a unit block: each in the component its uniform
+        picks, its star or ball scaled to that component's size."""
+        nu = self.nu
+        idx = np.searchsorted(self.pick, block[0], side="right")
+        np.minimum(idx, nu.count - 1, out=idx)
+        if self.stars:
+            # coordinate rows, the layout measures.kernel_tiles works in
+            cols = np.take(nu.centers.T, idx, axis=1)
+            cols += scale_star(block[1:], self.spec.j - 1, self.scale[idx])
+            return cols.T
+        pts = np.take(nu.centers, idx, axis=0)
+        pts += self.scale[idx, None] * block[1]
+        return pts
+
     def draw(self, gen, size):
         """`size` points, each uniform in a component picked by volume."""
-        nu, n = self.nu, self.spec.n
-        idx = np.searchsorted(self.pick, gen.random(size), side="right")
-        np.minimum(idx, nu.count - 1, out=idx)
-        pts = np.take(nu.centers, idx, axis=0)
-        if self.stars:
-            pts += uniform_star(gen, size, n, self.spec.j - 1, self.scale[idx])
-        else:
-            pts += self.scale[idx, None] * uniform_ball(gen, size, n)
-        return pts
+        return self.place(self.unit(gen, size))
 
     def evaluate(self, pts):
         """(|T nu| > lam, components that hold the row, at a pole).
@@ -259,7 +286,7 @@ class _Proposal:
         return np.divide(self.vtot, count, out=np.zeros(hit.size), where=hit)
 
 
-def mc_levelset(spec, nu, lam, samples, seed, threads=1):
+def mc_levelset(spec, nu, lam, samples, seed, threads=1, units=None):
     """Monte Carlo volume of {|T nu| > lam}.
 
     Points come from one iid mixture, _Proposal: one component per mass, the
@@ -279,19 +306,45 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1):
     so a relative error se / value is inf rather than a ZeroDivisionError.
     The estimate is unbiased and byte identical across thread counts for a
     fixed seed.
+
+    A search restart evaluates many measures on one seed (common random
+    numbers) and passes a dict as units: each chunk's unit draw
+    (_Proposal.unit) is kept there under (seed, chunk, size, n, star or
+    ball), read-only, and mapped again by every later call with that dict:
+    the same points, bit for bit, with no generator made. Only the first
+    chunks of a draw are kept, up to UNIT_CACHE_BYTES. Without units
+    nothing is kept. Chunks have their own keys, so threads may share the
+    dict within a call.
     """
     lam = as_positive(lam, "threshold")
     kernels.check_dimension(spec, nu)
     check_samples(samples)
-    check_seed(seed)
+    seed = check_seed(seed)
 
     prop = _Proposal(spec, nu, lam)
     # combine_mean_se squares the sum of the weights, each at most V
     if not math.isfinite((samples * prop.vtot) * (samples * prop.vtot)):
         raise DomainError("threshold too small: the MC sums overflow; scale nu and it up")
 
+    def unit(gen, size, chunk_index):
+        if units is None:
+            return prop.unit(gen, size)
+        key = (seed, chunk_index, size, spec.n, prop.stars)
+        block = units.get(key)
+        if block is None:
+            block = prop.unit(gen, size)
+            # the chunks before this one are full: keep it if all fit
+            per_point = sum(a.nbytes for a in block) // size
+            if (chunk_index * CHUNK + size) * per_point <= UNIT_CACHE_BYTES:
+                for a in block:
+                    a.flags.writeable = False
+                units[key] = block
+        return block
+
     def body(gen, size, chunk_index):
-        pts = prop.draw(gen, size)
+        # no name holds the unit draw, so a draw nothing keeps is freed
+        # before the kernel sums
+        pts = prop.place(unit(gen, size, chunk_index))
         hit, count, pole = prop.evaluate(pts)
         # a draw can land on a pole only with vanishing probability; redraw
         # those rows from the retry stream, so the estimate stays unbiased
@@ -315,14 +368,14 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1):
 
 
 def levelset_measure(
-    spec, nu, lam, method="auto", samples=None, seed=None, threads=1
+    spec, nu, lam, method="auto", samples=None, seed=None, threads=1, units=None
 ):
     """Volume of {|T nu| > lam}, routed to the best available estimator.
 
     auto prefers the exact interval solver in dimension 1 (method interval,
     also accepted as vieta or bisection), then the single-mass closed form,
     then Monte Carlo. Exact paths merge duplicate centers first; the Monte
-    Carlo path takes the measure as given.
+    Carlo path takes the measure as given, and units as mc_levelset does.
     """
     kernels.check_dimension(spec, nu)
     # second-order kernels need n >= 2, so n = 1 is the Hilbert kernel
@@ -343,12 +396,12 @@ def levelset_measure(
     if method == "mc":
         if samples is None or seed is None:
             raise DomainError("mc method requires samples and seed")
-        return mc_levelset(spec, nu, lam, samples, seed, threads)
+        return mc_levelset(spec, nu, lam, samples, seed, threads, units)
     raise DomainError("unknown method %r" % (method,))
 
 
 def weaktype_functional(
-    spec, nu, lam, method="auto", samples=None, seed=None, threads=1
+    spec, nu, lam, method="auto", samples=None, seed=None, threads=1, units=None
 ):
     """threshold * |{|T nu| > threshold}| / ||nu||.
 
@@ -357,7 +410,8 @@ def weaktype_functional(
     1/sqrt(n) times the kernel's sphere norm.
     """
     est = levelset_measure(
-        spec, nu, lam, method=method, samples=samples, seed=seed, threads=threads
+        spec, nu, lam, method=method, samples=samples, seed=seed, threads=threads,
+        units=units,
     )
     scale = est.threshold / measures.total_variation(nu)
     return dataclasses.replace(

@@ -4,7 +4,8 @@ Every consumer draws from a Philox generator keyed by the user seed with the
 counter preset to (0, chunk, unit, stream).  The draw sequence is therefore a
 pure function of (seed, stream, unit, chunk): any schedule that assigns whole
 chunks to workers reproduces the single-threaded stream exactly, so estimates
-do not depend on the thread count.
+do not depend on the thread count. For the same reason a cell's draws can be
+kept and reused where a seed repeats (mc_levelset's units).
 """
 
 import math
@@ -33,6 +34,9 @@ SEARCH_REEVAL = 10
 CHUNK = 1 << 14
 # Fewest samples any Monte Carlo estimate accepts.
 MIN_SAMPLES = 1000
+# Bytes of unit draws mc_levelset keeps of one (seed, samples): one full
+# chunk (n + 4 doubles a point) up to n = 28.
+UNIT_CACHE_BYTES = 4 << 20
 
 
 def check_seed(seed):
@@ -68,17 +72,34 @@ def chunk_sizes(total):
     return [CHUNK] * full + ([rem] if rem else [])
 
 
+class _LazyGenerator:
+    """generator(*cell), made on its first use: a chunk whose draws all come
+    from kept unit draws builds no Philox generator."""
+
+    __slots__ = ("cell", "gen")
+
+    def __init__(self, *cell):
+        self.cell, self.gen = cell, None
+
+    def __getattr__(self, name):
+        if self.gen is None:
+            self.gen = generator(*self.cell)
+        return getattr(self.gen, name)
+
+
 def run_chunked(total, fn, seed, stream, unit=0, threads=1):
     """Evaluate fn(generator, size, chunk_index) over fixed-size chunks.
 
-    Returns the per-chunk results in chunk order regardless of threads.
+    The generator of chunk c is generator(seed, stream, unit, c), made when
+    fn first draws from it. Returns the per-chunk results in chunk order
+    regardless of threads.
     """
     if as_int(threads, "thread count") < 1:
         raise DomainError("thread count must be a positive integer")
     sizes = chunk_sizes(total)
 
     def one(c):
-        return fn(generator(seed, stream, unit, c), sizes[c], c)
+        return fn(_LazyGenerator(seed, stream, unit, c), sizes[c], c)
 
     if threads <= 1 or len(sizes) == 1:
         return [one(c) for c in range(len(sizes))]
@@ -129,18 +150,18 @@ def uniform_ball(gen, m, n):
     return d * r[:, None]
 
 
-def uniform_star(gen, m, n, j, scale=1.0):
-    """m points uniform in the unit star {x : |x|^n < |x_j| / |x|}, n >= 2,
-    each multiplied by scale (a number or one per point).
+def unit_star(gen, m, n):
+    """The scale-free pieces of m points of uniform_star: (g, rest, tj, base,
+    sign), one column per point.
 
-    The star is the level set {|x_j| / |x|^(n+1) > 1} of a Riesz profile
-    (j is 0-based). Its direction theta has density proportional to
-    |theta_j| on S^{n-1}, so theta_j^2 = B is Beta(1, (n-1)/2), drawn by
-    inverse CDF as 1 - U^(2/(n-1)); the top bit of U gives the sign. The
-    other coordinates are sqrt(1 - B) = U^(1/(n-1)) times a uniform point
-    of S^{n-2} (for n = 2 a sign, the next bit of U). Then r^n is uniform
-    below |theta_j|. The points are built one coordinate at a time, so the
-    result is a column-major (m, n) array.
+    The unit star {x : |x|^n < |x_j| / |x|}, n >= 2, is the level set
+    {|x_j| / |x|^(n+1) > 1} of a Riesz profile. Its direction theta has
+    density proportional to |theta_j| on S^{n-1}, so theta_j^2 = B is
+    Beta(1, (n-1)/2), drawn by inverse CDF as 1 - U^(2/(n-1)); the top bit of
+    U gives the sign. The other coordinates are rest = sqrt(1 - B) =
+    U^(1/(n-1)) times g, a uniform point of S^{n-2} (for n = 2 a sign, the
+    next bit of U), with tj = |theta_j|. Then r^n is uniform below tj: r =
+    base = (tj V)^(1/n) in the unit star. None of this depends on j.
     """
     u = gen.random((2, m))
     frac, top = np.modf(2.0 * u[0])
@@ -154,10 +175,31 @@ def uniform_star(gen, m, n, j, scale=1.0):
         g /= np.sqrt(np.einsum("ij,ij->j", g, g))
         rest = frac ** (1.0 / (n - 1))
     tj = np.sqrt(1.0 - rest * rest)
-    r = scale * (tj * u[1]) ** (1.0 / n)
-    g *= r * rest
-    out = np.empty((n, m))
-    out[:j] = g[:j]
-    out[j] = np.copysign(tj * r, top - 0.5)
-    out[j + 1:] = g[j:]
-    return out.T
+    return g, rest, tj, (tj * u[1]) ** (1.0 / n), top - 0.5
+
+
+def scale_star(unit, j, scale):
+    """The points of unit_star's pieces, each multiplied by scale (a number
+    or one per point), as an (n, m) array of coordinates: coordinate j
+    (0-based) is sign tj r, the others g rest r, with r = scale base.
+    """
+    g, rest, tj, base, sign = unit
+    r = scale * base
+    h = r * rest
+    out = np.empty((g.shape[0] + 1, g.shape[1]))
+    np.multiply(g[:j], h, out=out[:j])
+    out[j] = np.copysign(tj * r, sign)
+    np.multiply(g[j:], h, out=out[j + 1:])
+    return out
+
+
+def uniform_star(gen, m, n, j, scale=1.0):
+    """m points uniform in the unit star {x : |x|^n < |x_j| / |x|}, n >= 2,
+    each multiplied by scale (a number or one per point); j is 0-based.
+
+    The unit draw unit_star followed by the map scale_star: callers that
+    draw the same points at many scales keep the first and map it again.
+    The result is a column-major (m, n) array.
+    """
+    return scale_star(unit_star(gen, m, n), j, scale).T
+

@@ -112,11 +112,16 @@ def _resolve_kind(problem):
 
 
 class _Tracker:
-    """Shared incumbent across restarts; feeds the monotone trace."""
+    """Shared incumbent across restarts; feeds the monotone trace.
+
+    units is the current restart's dict of MC unit draws (mc_levelset): its
+    evaluations share one seed, so each chunk is drawn once per restart.
+    """
 
     def __init__(self, problem, threads):
         self.problem = problem
         self.threads = threads
+        self.units = None
         self.evaluations = 0
         self.trace = []
         self.best_theta = None
@@ -131,6 +136,7 @@ class _Tracker:
             samples=self.problem.samples,
             seed=crn_seed,
             threads=self.threads,
+            units=self.units,
         )
         self.evaluations += 1
         if self.best_estimate is None or est.value > self.best_estimate.value:
@@ -247,6 +253,7 @@ def optimize(problem, threads=1):
         complete = True
         for restart in range(problem.restarts):
             crn = derive_seed(problem.seed, SEARCH_INIT, restart, 1)
+            tracker.units = {}
             if restart == 0:
                 x0 = np.zeros(dim)
             else:

@@ -10,6 +10,7 @@ from rieszlab import decomposition as D
 from rieszlab import kernels as K
 from rieszlab import levelset as L
 from rieszlab import measures as M
+from rieszlab import rng
 from rieszlab.errors import DomainError, ToleranceError
 
 
@@ -240,6 +241,21 @@ def test_line_lengths_match_mpmath_across_the_double_range():
             assert_lengths_match_mpmath(10.0 ** gen.uniform(-e, e, n), c)
 
 
+@pytest.mark.parametrize("a", [1e-300, 1e-150, 3.7, 1e150, 1e300])
+@pytest.mark.parametrize("lam", [1e-300, 1e-5, 0.8, 1e5, 1e300])
+def test_line_single_pole_lengths_are_a_over_pi_lambda(a, lam):
+    # one pole: F = w / x crosses 1 at x = w = a / (pi lam) on each side
+    nu = M.PointMassMeasure(1, np.array([a]), np.array([[-2.5]]))
+    w = a / (math.pi * lam)
+    if 0.0 < w < math.inf:
+        plus, minus, lengths = L.hilbert_levelset_intervals(nu, lam)
+        assert lengths == [w, w]
+        assert plus == [(-2.5, -2.5 + w)] and minus == [(-2.5 - w, -2.5)]
+    else:
+        with pytest.raises(DomainError):
+            L.hilbert_levelset_intervals(nu, lam)
+
+
 def test_exact_solver_rejects_duplicates_and_bad_threshold():
     nu = M.PointMassMeasure(
         n=1, masses=np.array([1.0, 2.0]), centers=np.array([[0.5], [0.5]])
@@ -348,6 +364,100 @@ def test_mc_determinism_and_thread_independence():
     assert (a.value, a.standard_error) == (c.value, c.standard_error)
     d = L.mc_levelset(spec, nu, 1.0, 50000, seed=10)
     assert d.value != a.value
+
+
+def two_masses():
+    return M.PointMassMeasure(2, np.array([1.0, 0.5]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def test_mc_values_are_pinned():
+    # 50,000 samples at seed 9, as first drawn by the one-component proposal
+    line = M.PointMassMeasure(1, np.array([1.0, 0.5, 2.0]), np.array([[0.0], [0.4], [1.5]]))
+    single = M.PointMassMeasure(3, np.array([2.5]), np.array([[0.3, -0.2, 0.1]]))
+    cases = [
+        (K.riesz(2, 1), two_masses(), 1.0, 0.45983696558851284, 0.0021312059952638945),
+        (K.riesz(3, 1), single, 0.5, 1.06051485155296, 0.0008023083594595281),
+        (K.second_order(2, 1, 2), two_masses(), 1.0, 0.4626944032255201, 0.003095392798624021),
+        (K.hilbert(), line, 0.8, 2.7805198487262452, 0.01283336700412831),
+    ]
+    for spec, nu, lam, value, se in cases:
+        est = L.mc_levelset(spec, nu, lam, 50000, seed=9)
+        assert repr(est) == repr(rng.Estimate(value, se, 50000, "mc", lam))
+
+
+@pytest.fixture
+def unit_draws(monkeypatch):
+    """The sizes of the unit draws mc_levelset makes, in order."""
+    made = []
+
+    def unit(self, gen, size, draw=L._Proposal.unit):
+        made.append(size)
+        return draw(self, gen, size)
+
+    monkeypatch.setattr(L._Proposal, "unit", unit)
+    return made
+
+
+@pytest.mark.parametrize(
+    "spec", [K.riesz(2, 1), K.riesz(3, 2), K.second_order(3, 1, 2), K.hilbert()],
+    ids=["riesz2", "riesz3", "second3", "line"],
+)
+def test_mc_kept_units_after_another_seed_equal_the_first_result(spec, unit_draws):
+    gen = np.random.default_rng(4)
+    nu = M.PointMassMeasure(spec.n, gen.uniform(0.5, 1.5, 3), gen.normal(size=(3, spec.n)))
+    units = {}
+    first = L.mc_levelset(spec, nu, 1.0, 5000, seed=21, units=units)
+    other = L.mc_levelset(spec, nu, 1.0, 5000, seed=22, units=units)
+    assert len(unit_draws) == 2 and len(units) == 2
+    kept = L.mc_levelset(spec, nu, 1.0, 5000, seed=21, units=units)
+    assert len(unit_draws) == 2
+    plain = L.mc_levelset(spec, nu, 1.0, 5000, seed=21)
+    assert repr(kept) == repr(first) == repr(plain) and other.value != first.value
+
+
+def test_mc_without_units_draws_every_call(unit_draws):
+    for _ in range(2):
+        L.mc_levelset(K.riesz(3, 1), two_masses_3d(), 1.0, 40000, seed=5)
+    assert unit_draws == 2 * [rng.CHUNK, rng.CHUNK, 40000 - 2 * rng.CHUNK]
+
+
+def test_mc_units_keep_the_first_chunks_within_the_byte_bound(unit_draws):
+    # n = 5 stars take 9 doubles a point: three full chunks fit in the
+    # bound, a fourth does not
+    nu = M.PointMassMeasure(5, np.array([1.0, 0.5]), np.array([[0.0] * 5, [0.8, 0.3, 0, 0, 0]]))
+    units = {}
+    first = L.mc_levelset(K.riesz(5, 1), nu, 1.0, 60000, seed=8, units=units)
+    assert sorted(key[1] for key in units) == [0, 1, 2]
+    held = sum(a.nbytes for block in units.values() for a in block)
+    assert held == 3 * rng.CHUNK * 9 * 8 <= rng.UNIT_CACHE_BYTES
+    again = L.mc_levelset(K.riesz(5, 1), nu, 1.0, 60000, seed=8, units=units)
+    assert unit_draws == [rng.CHUNK] * 3 + [60000 - 3 * rng.CHUNK] * 2
+    assert repr(again) == repr(first)
+
+
+def two_masses_3d():
+    return M.PointMassMeasure(3, np.array([1.0, 0.5]), np.array([[0.0, 0.0, 0.0], [0.8, 0.3, 0.0]]))
+
+
+def test_mc_units_threads_agree_on_multi_chunk_draws(unit_draws):
+    spec, nu = K.riesz(3, 1), two_masses_3d()
+    units = {}
+    one = L.mc_levelset(spec, nu, 1.0, 40000, seed=6, threads=2, units=units)
+    assert len(units) == 3
+    two = L.mc_levelset(spec, nu, 1.0, 40000, seed=6, threads=2, units=units)
+    kept_one = L.mc_levelset(spec, nu, 1.0, 40000, seed=6, units=units)
+    plain = L.mc_levelset(spec, nu, 1.0, 40000, seed=6)
+    assert len(unit_draws) == 6
+    assert repr(one) == repr(two) == repr(kept_one) == repr(plain)
+
+
+def test_mc_kept_arrays_are_read_only():
+    units = {}
+    L.mc_levelset(K.riesz(2, 1), two_masses(), 1.0, 2000, seed=7, units=units)
+    (block,) = units.values()
+    for a in block:
+        with pytest.raises(ValueError):
+            a[0] = 0.5
 
 
 def test_mc_thread_independence_across_tiles():

@@ -135,3 +135,13 @@ def test_uniform_star_direction_law(n):
     u = r**n / tj
     assert np.all(u < 1.0 + 1e-12)
     assert abs(u.mean() - 0.5) <= 4.0 * math.sqrt(1 / 12 / m)
+
+
+def test_scale_star_scales_each_unit_point():
+    # one unit draw serves every scale: point i of the map is scale_i times
+    # the unit star's point i
+    for n in (2, 3, 6):
+        unit = rng.unit_star(rng.generator(3, rng.LEVELSET), 500, n)
+        scale = np.linspace(0.5, 2.0, 500)
+        scaled = rng.scale_star(unit, n - 1, scale)
+        assert np.allclose(scaled, scale * rng.scale_star(unit, n - 1, 1.0), rtol=1e-15, atol=0)

@@ -44,6 +44,43 @@ def test_nondecreasing_in_count():
     assert double.reevaluated_value <= double.value + spread
 
 
+def test_search_signature_is_pinned():
+    # common random numbers make a search a pure function of its problem
+    problem = S.SearchProblem(K.riesz(3, 1), 3, 2000, 4, iterations=60, restarts=2)
+    result = S.optimize(problem)
+    assert (repr(result.value), repr(result.standard_error)) == (
+        "0.212718216095653",
+        "0.0007618438774090768",
+    )
+    assert result.evaluations == 60 and result.incomplete
+    assert result.best.centers.tolist() == [
+        [0.0, 0.0, 0.0],
+        [6.081390032007312e-05, 0.0, 0.0],
+        [0.00012562871513488796, -0.0002400548696844993, 0.00032007315957933237],
+    ]
+    assert result.trace == (
+        (1, 0.2122065907891938),
+        (4, 0.21228187178527225),
+        (7, 0.21260913058041914),
+        (14, 0.212718216095653),
+    )
+
+
+def test_search_draws_its_mc_units_once_per_restart(monkeypatch):
+    made = []
+
+    def unit(self, gen, size, draw=L._Proposal.unit):
+        made.append(size)
+        return draw(self, gen, size)
+
+    monkeypatch.setattr(L._Proposal, "unit", unit)
+    problem = S.SearchProblem(K.riesz(3, 1), 3, 2000, 4, iterations=60, restarts=2)
+    result = S.optimize(problem)
+    # one draw per restart, then the re-evaluation's two chunks on its own seed
+    assert result.evaluations == 60
+    assert made == [2000, 2000, 16384, 20000 - 16384]
+
+
 def test_gauge_invariance_of_functional():
     # scaling masses and threshold together changes nothing, bit for bit
     nu = __import__("rieszlab.measures", fromlist=["PointMassMeasure"])
