@@ -2,10 +2,9 @@
 
 An exact interval solver for the one dimensional kernel, a closed form for a
 single mass in any dimension, and a Monte Carlo estimator for everything
-else, drawing from one component per mass: the kernel's own star, or a ball
-that holds it. All estimators report the volume of {|T nu| > lambda}. The
-line solver is plain numpy, measuring each root from its nearer pole to keep
-relative accuracy.
+else, drawing from one component per mass: the kernel's own star. All
+estimators report the volume of {|T nu| > lambda}. The line solver is plain
+numpy, measuring each root from its nearer pole to keep relative accuracy.
 """
 
 import dataclasses
@@ -27,8 +26,11 @@ from .rng import (
     combine_mean_se,
     generator,
     run_chunked,
+    scale_pair_star,
     scale_star,
     uniform_ball,
+    unit_diagonal_star,
+    unit_pair_star,
     unit_star,
 )
 
@@ -190,22 +192,32 @@ def star_thresholds(nu, lam):
     return lam * s / s.sum()
 
 
+# the component families of _Proposal: each has a unit draw that depends on
+# n alone, and mc_levelset keeps unit draws under the family's name
+_RIESZ, _PAIR, _DIAGONAL, _BALL = "riesz star", "pair star", "diagonal star", "ball"
+_UNIT_STARS = {_RIESZ: unit_star, _PAIR: unit_pair_star, _DIAGONAL: unit_diagonal_star}
+
+
 class _Proposal:
     """Where mc_levelset draws its points, and the density it weights by.
 
     Mass k has one component, at the threshold t'_k = SHRINK t_k of
-    star_thresholds: for Riesz kernels with n >= 2 the star
-    {a_k |K(. - c_k)| > t'_k}, of volume (a_k / t'_k) 2 / (pi n); otherwise
-    the ball about c_k of radius (sup|Omega| a_k / t'_k)^(1/n), which holds
-    that star and is it for n = 1. Component k is picked with probability
-    |component k| / V, so a point held by `count` components has density
-    count / V.
+    star_thresholds: for n >= 2 the star {a_k |K(. - c_k)| > t'_k}, of
+    volume (a_k / t'_k) |{|K| > 1}| (unit_levelset_volume), which is c_k plus
+    the unit star {r^n < |P(theta)|} of the raw profile P scaled by
+    (a_k c / t'_k)^(1/n), c the normalization; for n = 1 the interval about
+    c_k of radius sup|Omega| a_k / t'_k, which is that star. Component k is
+    picked with probability |component k| / V, so a point held by `count`
+    components has density count / V.
 
     A draw is a unit draw, which depends on no measure (the picking
-    uniforms and a unit star or ball per point, from rng.unit_star or
-    rng.uniform_ball), followed by this proposal's map, place: pick by
-    searchsorted, then shift to the center and scale by the component's
-    size. draw(gen, size) is the two in turn.
+    uniforms and a unit star or ball per point: rng.unit_star for Riesz
+    kernels, rng.unit_pair_star for x_i x_j / |x|^(n+2),
+    rng.unit_diagonal_star for the diagonal kernels, rng.uniform_ball for
+    n = 1), followed by this proposal's map, place: pick by searchsorted,
+    then shift to the center and scale by the component's size. draw(gen,
+    size) is the two in turn; the pole retries of mc_levelset call it on
+    their own stream.
     """
 
     def __init__(self, spec, nu, lam):
@@ -213,28 +225,35 @@ class _Proposal:
         self.spec, self.nu, self.lam = spec, nu, lam
         self.t = SHRINK * star_thresholds(nu, lam)
         reach = nu.masses / self.t
-        self.stars = spec.kind == kernels.RIESZ and n >= 2
-        if self.stars:
-            vols = reach * unit_levelset_constant(n)
-            # star k is c_k plus the unit star of uniform_star scaled by this
-            self.scale = (reach * kernels.normalization(spec)) ** (1.0 / n)
+        if n == 1:
+            # the interval about c_k of radius sup|Omega| a_k / t'_k is its star
+            self.family = _BALL
+            self.scale = reach * kernels.omega_sup(spec)
+            vols = 2.0 * self.scale
         else:
-            self.scale = (reach * kernels.omega_sup(spec)) ** (1.0 / n)
-            vols = kernels.ball_volume(n) * self.scale**n
-            self.rho2 = self.scale * self.scale
+            if spec.kind == kernels.RIESZ:
+                # 2 / (pi n) rounds unlike (2 / pi) / n: Riesz volumes keep it
+                self.family, unit_volume = _RIESZ, unit_levelset_constant(n)
+            else:
+                self.family = _DIAGONAL if spec.diagonal else _PAIR
+                unit_volume = unit_levelset_volume(spec)
+            vols = reach * unit_volume
+            # star k is c_k plus the family's unit star scaled by this
+            self.scale = (reach * kernels.normalization(spec)) ** (1.0 / n)
         self.vtot = float(np.sum(vols))
         self.pick = np.cumsum(vols) / self.vtot
 
     def unit(self, gen, size):
         """The draws of `size` points that depend on no measure, as a tuple
         of arrays: the uniforms that pick the components, then the pieces of
-        a unit star (unit_star) or a unit ball draw (uniform_ball). A
-        function of the generator's cell, size, n and the component shape.
+        a unit star (the family's rng draw) or a unit ball draw
+        (uniform_ball). A function of the generator's cell, size, n and the
+        component family.
         """
         u = gen.random(size)
-        if self.stars:
-            return (u,) + unit_star(gen, size, self.spec.n)
-        return u, uniform_ball(gen, size, self.spec.n)
+        if self.family == _BALL:
+            return u, uniform_ball(gen, size, self.spec.n)
+        return (u,) + _UNIT_STARS[self.family](gen, size, self.spec.n)
 
     def place(self, block):
         """The points of a unit block: each in the component its uniform
@@ -242,10 +261,15 @@ class _Proposal:
         nu = self.nu
         idx = np.searchsorted(self.pick, block[0], side="right")
         np.minimum(idx, nu.count - 1, out=idx)
-        if self.stars:
+        if self.family != _BALL:
             # coordinate rows, the layout measures.kernel_tiles works in
             cols = np.take(nu.centers.T, idx, axis=1)
-            cols += scale_star(block[1:], self.spec.j - 1, self.scale[idx])
+            if self.family == _PAIR:
+                cols += scale_pair_star(
+                    block[1:], self.spec.i - 1, self.spec.j - 1, self.scale[idx]
+                )
+            else:
+                cols += scale_star(block[1:], self.spec.j - 1, self.scale[idx])
             return cols.T
         pts = np.take(nu.centers, idx, axis=0)
         pts += self.scale[idx, None] * block[1]
@@ -259,8 +283,8 @@ class _Proposal:
         """(|T nu| > lam, components that hold the row, at a pole).
 
         One pass over tiles of masses (measures.kernel_tiles): r2 is formed
-        once per (row, mass) pair and gives the pole test, the ball test and
-        K; a_k K gives the star test and T nu.
+        once per (row, mass) pair and gives the pole test and K; a_k K gives
+        the star test, the one inside test of every family, and T nu.
         """
         rows = pts.shape[0]
         total = np.zeros(rows)
@@ -273,10 +297,7 @@ class _Proposal:
             for tile, r2, vals in measures.kernel_tiles(self.spec, self.nu, pts):
                 pole |= np.any(r2 <= pole2, axis=0)
                 vals *= masses[tile, None]
-                if self.stars:
-                    inside = np.abs(vals) > t[tile, None]
-                else:
-                    inside = r2 <= self.rho2[tile, None]
+                inside = np.abs(vals) > t[tile, None]
                 count += np.sum(inside, axis=0, dtype=np.int32)
                 total += vals.sum(axis=0)
         return np.abs(total) > self.lam, count, pole
@@ -290,8 +311,8 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1, units=None):
     """Monte Carlo volume of {|T nu| > lam}.
 
     Points come from one iid mixture, _Proposal: one component per mass, the
-    kernel's own star at a share SHRINK t_k of lam (a ball that holds it for
-    second-order kernels and n = 1), picked in proportion to its volume. The
+    kernel's own star at a share SHRINK t_k of lam (on the line an interval,
+    drawn as a unit ball), picked in proportion to its volume. The
     shares SHRINK t_k sum to less than lam, so where |T nu| > lam some
     component holds the point with room to spare: the mixture strictly
     contains the level set, and each hit x is weighted by 1 / q(x) = V /
@@ -309,12 +330,13 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1, units=None):
 
     A search restart evaluates many measures on one seed (common random
     numbers) and passes a dict as units: each chunk's unit draw
-    (_Proposal.unit) is kept there under (seed, chunk, size, n, star or
-    ball), read-only, and mapped again by every later call with that dict:
-    the same points, bit for bit, with no generator made. Only the first
-    chunks of a draw are kept, up to UNIT_CACHE_BYTES. Without units
-    nothing is kept. Chunks have their own keys, so threads may share the
-    dict within a call.
+    (_Proposal.unit) is kept there under (seed, chunk, size, n, family),
+    read-only, and mapped again by every later call with that dict: the same
+    points, bit for bit, with no generator made. The family (Riesz,
+    off-diagonal or diagonal star, or ball) names the shape of the draw, so
+    kernels of one n may share the dict. Only the first chunks of a draw are
+    kept, up to UNIT_CACHE_BYTES. Without units nothing is kept. Chunks have
+    their own keys, so threads may share the dict within a call.
     """
     lam = as_positive(lam, "threshold")
     kernels.check_dimension(spec, nu)
@@ -329,7 +351,7 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1, units=None):
     def unit(gen, size, chunk_index):
         if units is None:
             return prop.unit(gen, size)
-        key = (seed, chunk_index, size, spec.n, prop.stars)
+        key = (seed, chunk_index, size, spec.n, prop.family)
         block = units.get(key)
         if block is None:
             block = prop.unit(gen, size)

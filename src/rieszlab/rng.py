@@ -6,6 +6,12 @@ pure function of (seed, stream, unit, chunk): any schedule that assigns whole
 chunks to workers reproduces the single-threaded stream exactly, so estimates
 do not depend on the thread count. For the same reason a cell's draws can be
 kept and reused where a seed repeats (mc_levelset's units).
+
+The stars of the kernels, {|K| > 1} scaled, are drawn as a unit draw that
+depends on n alone and a map that scales and places it: unit_star and
+scale_star for Riesz kernels, unit_pair_star and scale_pair_star for
+off-diagonal second-order kernels, unit_diagonal_star and scale_star for
+diagonal ones.
 """
 
 import math
@@ -35,7 +41,8 @@ CHUNK = 1 << 14
 # Fewest samples any Monte Carlo estimate accepts.
 MIN_SAMPLES = 1000
 # Bytes of unit draws mc_levelset keeps of one (seed, samples): one full
-# chunk (n + 4 doubles a point) up to n = 28.
+# chunk (n + 4 doubles a point, n + 5 for off-diagonal second-order stars) up
+# to n = 28 (27).
 UNIT_CACHE_BYTES = 4 << 20
 
 
@@ -191,6 +198,93 @@ def scale_star(unit, j, scale):
     out[j] = np.copysign(tj * r, sign)
     np.multiply(g[j:], h, out=out[j + 1:])
     return out
+
+
+def unit_pair_star(gen, m, n):
+    """The scale-free pieces of m points uniform in the unit star
+    {x : |x|^n < |x_i x_j| / |x|^2}, i != j, n >= 2, of an off-diagonal
+    second-order profile: (g, rest, ti, tj, base, si, sj), one column per
+    point.
+
+    The direction theta has density proportional to |theta_i theta_j| on
+    S^{n-1}, so (theta_i^2, theta_j^2, |theta_rest|^2) is Dirichlet(1, 1,
+    (n-2)/2): two exponentials and a Gamma((n-2)/2) over their sum, with no
+    rejection. The gamma is half the squared norm of n - 2 normals, whose
+    direction g is independent of it and uniform on S^{n-3}; the other
+    coordinates are rest g (none for n = 2, where rest is 0). theta_i = si ti
+    and theta_j = sj tj take random signs (the top two bits of one uniform).
+    Then r^n is uniform below ti tj: r = base = (ti tj V)^(1/n). None of this
+    depends on i or j.
+    """
+    e = gen.standard_exponential((2, m))
+    if n == 2:
+        total = e[0] + e[1]
+        g, rest = np.empty((0, m)), np.zeros(m)
+    else:
+        g = gen.standard_normal((n - 2, m))
+        norm2 = np.einsum("ij,ij->j", g, g)
+        g /= np.sqrt(norm2)
+        total = e[0] + e[1] + 0.5 * norm2
+        rest = np.sqrt(0.5 * norm2 / total)
+    ti, tj = np.sqrt(e / total)
+    u = gen.random((2, m))
+    frac, si = np.modf(2.0 * u[0])
+    sj = np.floor(2.0 * frac)
+    return g, rest, ti, tj, (ti * tj * u[1]) ** (1.0 / n), si - 0.5, sj - 0.5
+
+
+def scale_pair_star(unit, i, j, scale):
+    """The points of unit_pair_star's pieces, each multiplied by scale (a
+    number or one per point), as an (n, m) array of coordinates: coordinates
+    i and j (0-based, distinct) are si ti r and sj tj r, the others g rest r,
+    with r = scale base.
+    """
+    g, rest, ti, tj, base, si, sj = unit
+    r = scale * base
+    h = r * rest
+    lo, hi = min(i, j), max(i, j)
+    out = np.empty((g.shape[0] + 2, g.shape[1]))
+    np.multiply(g[:lo], h, out=out[:lo])
+    np.multiply(g[lo:hi - 1], h, out=out[lo + 1:hi])
+    np.multiply(g[hi - 1:], h, out=out[hi + 1:])
+    out[i] = np.copysign(ti * r, si)
+    out[j] = np.copysign(tj * r, sj)
+    return out
+
+
+def unit_diagonal_star(gen, m, n):
+    """The scale-free pieces of m points uniform in the unit star
+    {x : |x|^n < |x_j^2 / |x|^2 - 1/n|}, n >= 2, of a diagonal second-order
+    profile, in unit_star's shape (g, rest, tj, base, sign), so that
+    scale_star places them.
+
+    The direction has density proportional to |B - 1/n| on S^{n-1}, with
+    B = theta_j^2 ~ Beta(1/2, (n-1)/2) under the uniform law. As B has mean
+    1/n there, (B + 1/n) Beta(1/2, (n-1)/2) is the even mixture of
+    Beta(3/2, (n-1)/2) and Beta(1/2, (n-1)/2): B is drawn from it and kept
+    with probability |B - 1/n| / (B + 1/n): 32% at n = 2, 38% at n = 3,
+    rising to 48%. Candidates come in rounds until m are kept, so the draw is
+    a function of the generator's state alone; a round of twice the number
+    still missing (plus 64) keeps fewer than that number except at the end,
+    so few candidates are wasted. The other coordinates are
+    sqrt(1 - B) times a uniform point g of S^{n-2}, tj = sqrt(B) takes a
+    random sign, and r = base = (|B - 1/n| V)^(1/n).
+    """
+    p = 1.0 / n
+    kept = []
+    need = m
+    while need > 0:
+        k = 2 * need + 64
+        b = gen.beta(np.where(gen.random(k) < 0.5, 1.5, 0.5), (n - 1) / 2)
+        b = b[gen.random(k) * (b + p) < np.abs(b - p)][:need]
+        kept.append(b)
+        need -= b.size
+    b = np.concatenate(kept)
+    g = gen.standard_normal((n - 1, m))
+    g /= np.sqrt(np.einsum("ij,ij->j", g, g))
+    u = gen.random((2, m))
+    base = (np.abs(b - p) * u[1]) ** (1.0 / n)
+    return g, np.sqrt(1.0 - b), np.sqrt(b), base, u[0] - 0.5
 
 
 def uniform_star(gen, m, n, j, scale=1.0):

@@ -371,13 +371,14 @@ def two_masses():
 
 
 def test_mc_values_are_pinned():
-    # 50,000 samples at seed 9, as first drawn by the one-component proposal
+    # 50,000 samples at seed 9, as first drawn by the one-component proposal;
+    # the second-order row since its components are stars
     line = M.PointMassMeasure(1, np.array([1.0, 0.5, 2.0]), np.array([[0.0], [0.4], [1.5]]))
     single = M.PointMassMeasure(3, np.array([2.5]), np.array([[0.3, -0.2, 0.1]]))
     cases = [
         (K.riesz(2, 1), two_masses(), 1.0, 0.45983696558851284, 0.0021312059952638945),
         (K.riesz(3, 1), single, 0.5, 1.06051485155296, 0.0008023083594595281),
-        (K.second_order(2, 1, 2), two_masses(), 1.0, 0.4626944032255201, 0.003095392798624021),
+        (K.second_order(2, 1, 2), two_masses(), 1.0, 0.46651287972307315, 0.0021320626357072725),
         (K.hilbert(), line, 0.8, 2.7805198487262452, 0.01283336700412831),
     ]
     for spec, nu, lam, value, se in cases:
@@ -413,6 +414,19 @@ def test_mc_kept_units_after_another_seed_equal_the_first_result(spec, unit_draw
     assert len(unit_draws) == 2
     plain = L.mc_levelset(spec, nu, 1.0, 5000, seed=21)
     assert repr(kept) == repr(first) == repr(plain) and other.value != first.value
+
+
+def test_mc_kernels_of_one_n_share_kept_units():
+    # unit draws are keyed by the family of their components: a Riesz and
+    # two second-order calls on one seed and one dict map their own draws
+    nu = two_masses_3d()
+    specs = (K.riesz(3, 1), K.second_order(3, 1, 2), K.second_order(3, 2, 2))
+    units = {}
+    shared = [repr(L.mc_levelset(s, nu, 1.0, 5000, seed=4, units=units)) for s in specs]
+    again = [repr(L.mc_levelset(s, nu, 1.0, 5000, seed=4, units=units)) for s in specs]
+    plain = [repr(L.mc_levelset(s, nu, 1.0, 5000, seed=4)) for s in specs]
+    assert len(units) == 3
+    assert shared == again == plain
 
 
 def test_mc_without_units_draws_every_call(unit_draws):
@@ -511,12 +525,15 @@ def test_mc_all_miss_reports_rule_of_three_bound(seed):
     # a numpy zero: the relative error is inf, not a ZeroDivisionError
     with np.errstate(divide="ignore"):
         assert est.standard_error / est.value == math.inf
-    # second-order kernels draw from balls of volume |B| sup|Omega| a_k / t'_k
-    spec = K.second_order(5, 1, 2)
+    # second-order kernels draw from their stars too, of volume
+    # (a_k / t'_k) |{|K| > 1}|, and hit as often: the diagonal kernel, whose
+    # sphere norm is not 2 / pi, misses with every draw at these seeds (the
+    # off-diagonal x_1 x_2 kernel hits once at seed 1)
+    spec = K.second_order(5, 2, 2)
     est = L.mc_levelset(spec, nu, 1.0, 1000, seed=seed)
-    vball = K.ball_volume(5) * K.omega_sup(spec) * reach
+    vstar = reach * L.unit_levelset_volume(spec)
     assert est.value == 0.0
-    assert est.standard_error == pytest.approx(3.0 * vball / 1000, rel=1e-12)
+    assert est.standard_error == pytest.approx(3.0 * vstar / 1000, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -556,19 +573,16 @@ def test_star_draws_lie_in_their_stars(n, j):
     t = L.SHRINK * t
     # component k is drawn with probability proportional to a_k / t'_k
     p = (nu.masses / t) / np.sum(nu.masses / t)
-    for spec in (K.riesz(n, j), K.second_order(n, 1, j)):
+    specs = (K.riesz(n, j), K.second_order(n, 1, j), K.second_order(n, 1, 2),
+             K.second_order(n, 2, 2))
+    for spec in dict.fromkeys(specs):
         pts = L._Proposal(spec, nu, lam).draw(gen, 20000)
         off = pts[:, None, :] - nu.centers[None, :, :]
         idx = np.argmin(np.sum(off * off, axis=2), axis=1)
         off = pts - nu.centers[idx]
-        if spec.kind == K.RIESZ:
-            # the star {a_k |K(. - c_k)| > t'_k}
-            vals = nu.masses[idx] * np.abs(K.kernel_values(spec, off))
-            assert np.all(vals >= t[idx] * (1.0 - 1e-12))
-        else:
-            # the ball of radius (sup|Omega| a_k / t'_k)^(1/n)
-            rho = (K.omega_sup(spec) * nu.masses / t) ** (1.0 / n)
-            assert np.all(np.linalg.norm(off, axis=1) <= rho[idx] * (1.0 + 1e-12))
+        # the star {a_k |K(. - c_k)| > t'_k}
+        vals = nu.masses[idx] * np.abs(K.kernel_values(spec, off))
+        assert np.all(vals >= t[idx] * (1.0 - 1e-12))
         counts = np.bincount(idx, minlength=nu.count)
         assert np.all(np.abs(counts - 20000 * p) <= 4.0 * np.sqrt(20000 * p * (1 - p)))
 
@@ -622,6 +636,27 @@ def test_mc_standard_error_matches_the_spread_over_seeds(spec):
         nu = M.PointMassMeasure(n, np.array([1.3]), np.full((1, n), 0.2))
     exact = L.levelset_measure(spec, nu, 0.8).value
     assert 0.8 <= se_honesty_ratio(spec, nu, 0.8, exact) <= 1.25
+
+
+def test_mc_diagonal_standard_error_matches_the_spread_over_seeds():
+    spec = K.second_order(3, 2, 2)
+    nu = M.PointMassMeasure(3, np.array([1.3]), np.full((1, 3), 0.2))
+    exact = L.single_mass_levelset_exact(spec, nu, 0.8).value
+    assert 0.8 <= se_honesty_ratio(spec, nu, 0.8, exact) <= 1.25
+
+
+@pytest.mark.parametrize("n,i,j", [(2, 1, 2), (3, 1, 2), (3, 2, 2), (5, 1, 1), (10, 3, 3)])
+def test_mc_second_order_single_mass_within_three_se_of_closed_form(n, i, j):
+    # the components are the stars themselves: a draw hits unless it falls in
+    # the rim between SHRINK t and t
+    spec = K.second_order(n, i, j)
+    a, lam = 1.7, 0.6
+    nu = M.PointMassMeasure(n=n, masses=np.array([a]), centers=np.full((1, n), 0.3))
+    est = L.mc_levelset(spec, nu, lam, 40000, seed=90 + n + i + j)
+    exact = L.single_mass_levelset_exact(spec, nu, lam).value
+    assert est.standard_error > 0.0
+    assert abs(est.value - exact) <= 3.0 * est.standard_error
+    assert est.standard_error / est.value < 0.2 / math.sqrt(40000)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -145,3 +145,61 @@ def test_scale_star_scales_each_unit_point():
         scale = np.linspace(0.5, 2.0, 500)
         scaled = rng.scale_star(unit, n - 1, scale)
         assert np.allclose(scaled, scale * rng.scale_star(unit, n - 1, 1.0), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n,i,j", [(2, 0, 1), (3, 2, 0), (5, 1, 3), (10, 0, 9)])
+def test_pair_star_direction_law(n, i, j):
+    # (theta_i^2, theta_j^2, rest^2) is Dirichlet(1, 1, (n - 2) / 2):
+    # E theta_i^2 = E theta_j^2 = 2 / (n + 2)
+    m = 200_000
+    unit = rng.unit_pair_star(rng.generator(n, rng.LEVELSET), m, n)
+    x = rng.scale_pair_star(unit, i, j, 1.0)
+    r = np.sqrt(np.einsum("ij,ij->j", x, x))
+    for d in (i, j):
+        t2 = (x[d] / r) ** 2
+        assert abs(t2.mean() - 2.0 / (n + 2)) <= 4.0 * t2.std() / math.sqrt(m)
+        assert abs(np.mean(np.sign(x[d]))) <= 4.0 / math.sqrt(m)
+    assert abs(np.mean(np.sign(x[i] * x[j]))) <= 4.0 / math.sqrt(m)
+    # inside the unit star, with r^n uniform below |theta_i theta_j|
+    u = r**n / np.abs(x[i] * x[j] / (r * r))
+    assert np.all(u < 1.0 + 1e-12)
+    assert abs(u.mean() - 0.5) <= 4.0 * math.sqrt(1 / 12 / m)
+
+
+def _diagonal_quantiles(n, bins):
+    """The angles phi = arcsin |theta_j| that cut the law proportional to
+    |B - 1/n| Beta(1/2, (n-1)/2) of B = theta_j^2 into equal bins: in phi the
+    density is proportional to |sin^2 phi - 1/n| cos^(n-2) phi on [0, pi/2],
+    summed by the midpoint rule.
+    """
+    phi = (np.arange(1 << 20) + 0.5) * (math.pi / 2) / (1 << 20)
+    cum = np.cumsum(np.abs(np.sin(phi) ** 2 - 1.0 / n) * np.cos(phi) ** (n - 2))
+    return np.interp(np.arange(1, bins) / bins, cum / cum[-1], phi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_diagonal_star_direction_law(n):
+    # the kept B = theta_j^2 follows |B - 1/n| Beta(1/2, (n-1)/2): a chi-square
+    # test over 20 equally likely bins (19 degrees of freedom; 45 is its
+    # 0.07% quantile)
+    m, j, bins = 200_000, n - 1, 20
+    unit = rng.unit_diagonal_star(rng.generator(n, rng.LEVELSET), m, n)
+    x = rng.scale_star(unit, j, 1.0)
+    r = np.sqrt(np.einsum("ij,ij->j", x, x))
+    b = (x[j] / r) ** 2
+    got = np.bincount(np.searchsorted(_diagonal_quantiles(n, bins), np.arcsin(np.sqrt(b))))
+    assert np.sum((got - m / bins) ** 2 / (m / bins)) < 45.0
+    assert abs(np.mean(np.sign(x[j]))) <= 4.0 / math.sqrt(m)
+    # inside the unit star, with r^n uniform below |theta_j^2 - 1/n|
+    u = r**n / np.abs(b - 1.0 / n)
+    assert np.all(u < 1.0 + 1e-9)
+    assert abs(u.mean() - 0.5) <= 4.0 * math.sqrt(1 / 12 / m)
+
+
+def test_unit_second_order_stars_have_the_asked_size_and_repeat():
+    for n in (2, 3, 7):
+        for draw in (rng.unit_pair_star, rng.unit_diagonal_star):
+            a = draw(rng.generator(5, rng.LEVELSET, chunk=n), 1000, n)
+            b = draw(rng.generator(5, rng.LEVELSET, chunk=n), 1000, n)
+            assert all(p.shape[-1] == 1000 for p in a)
+            assert all(np.array_equal(p, q) for p, q in zip(a, b))
