@@ -217,15 +217,11 @@ def unit_pair_star(gen, m, n):
     depends on i or j.
     """
     e = gen.standard_exponential((2, m))
-    if n == 2:
-        total = e[0] + e[1]
-        g, rest = np.empty((0, m)), np.zeros(m)
-    else:
-        g = gen.standard_normal((n - 2, m))
-        norm2 = np.einsum("ij,ij->j", g, g)
-        g /= np.sqrt(norm2)
-        total = e[0] + e[1] + 0.5 * norm2
-        rest = np.sqrt(0.5 * norm2 / total)
+    g = gen.standard_normal((n - 2, m))
+    norm2 = np.einsum("ij,ij->j", g, g)
+    g /= np.sqrt(norm2)
+    total = e[0] + e[1] + 0.5 * norm2
+    rest = np.sqrt(0.5 * norm2 / total)
     ti, tj = np.sqrt(e / total)
     u = gen.random((2, m))
     frac, si = np.modf(2.0 * u[0])
