@@ -71,13 +71,15 @@ def _spec_from(args, n=None):
 
 
 def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("RIESZ_LAB_THREADS", "1")
-    try:
-        return int(env)
-    except ValueError:
-        raise DomainError("RIESZ_LAB_THREADS must be an integer")
+    threads = args.threads
+    if threads is None:
+        try:
+            threads = int(os.environ.get("RIESZ_LAB_THREADS", "1"))
+        except ValueError:
+            raise DomainError("RIESZ_LAB_THREADS must be an integer")
+    if threads < 1:
+        raise DomainError("--threads and RIESZ_LAB_THREADS must be at least 1")
+    return threads
 
 
 def _parse_floats(text, what):
@@ -228,7 +230,6 @@ def _cmd_search(args):
         samples=args.samples,
         seed=args.seed,
         iterations=args.iterations,
-        kind=args.optimizer,
         restarts=args.restarts,
     )
     result = search.optimize(problem, threads=_threads(args))
@@ -259,7 +260,6 @@ def _cmd_sweep(args):
         args.samples,
         args.seed,
         iterations=args.iterations,
-        kind=args.optimizer,
         restarts=args.restarts,
         threads=_threads(args),
     )
@@ -362,14 +362,18 @@ def build_parser():
     common(p)
     p.set_defaults(func=_cmd_exhaustion)
 
+    def search_flags(p):
+        p.add_argument("--samples", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--iterations", type=int, default=200, help="evaluations, "
+                       "split over the restarts, at least free dimension + 2 each")
+        p.add_argument("--restarts", type=int, default=4,
+                       help="Nelder-Mead runs; the first from coincident masses")
+
     p = sub.add_parser("search", help="maximize the weak-type ratio")
     _add_kernel_flags(p)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--optimizer", choices=search.KINDS, default="auto")
+    search_flags(p)
     common(p)
     p.set_defaults(func=_cmd_search)
 
@@ -377,11 +381,7 @@ def build_parser():
     _add_kernel_flags(p, with_n=False)
     p.add_argument("--ns", required=True, help="comma separated dimensions")
     p.add_argument("--counts", required=True, help="comma separated counts")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--optimizer", choices=search.KINDS, default="auto")
+    search_flags(p)
     p.add_argument("--timings", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_sweep)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, as_int
 
 # Stream ids, one per Monte Carlo consumer.  Distinct ids give disjoint
-# counter ranges under the same seed.
+# counter ranges under the same seed; none is renumbered (9 was annealing's).
 SPHERE_NORM = 1
 SPHERE_MEAN = 2
 LIPSCHITZ = 3
@@ -32,7 +32,6 @@ LEVELSET_RETRY = 5
 EXHAUSTION = 6
 EVAL_H = 7
 SEARCH_INIT = 8
-SEARCH_ANNEAL = 9
 SEARCH_REEVAL = 10
 
 # Samples per chunk.  Fixed so that chunk boundaries (and hence results) do

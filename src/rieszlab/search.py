@@ -3,9 +3,9 @@
 The objective is the thresholded level-set volume per unit mass, evaluated
 with common random numbers so the optimizer walks a deterministic surface;
 the winning configuration is then re-evaluated on a fresh seed with a larger
-budget to strip the selection bias. Nelder-Mead is scipy.optimize's
-non-adaptive variant written out in numpy: it makes the same evaluations in
-the same order, so a search needs no scipy.
+budget to strip the selection bias. The one optimizer, at every dimension,
+is Nelder-Mead: scipy.optimize's non-adaptive variant written out in numpy.
+It makes the same evaluations in the same order, so a search needs no scipy.
 """
 
 import itertools
@@ -19,7 +19,6 @@ from . import levelset
 from .errors import DomainError, ToleranceError, as_int
 from .measures import PointMassMeasure
 from .rng import (
-    SEARCH_ANNEAL,
     SEARCH_INIT,
     SEARCH_REEVAL,
     check_samples,
@@ -28,9 +27,7 @@ from .rng import (
     generator,
 )
 
-KINDS = ("auto", "nelder-mead", "simulated-annealing")
 REEVAL_FACTOR = 10
-_ANNEAL_ABOVE = 20
 _START_SPREAD = 1.5
 
 
@@ -41,6 +38,11 @@ class SearchProblem:
     The gauge pins threshold 1 and unit total mass, puts the first center
     at the origin and the second on the positive first axis; what remains
     free are N - 1 mass logits, one separation, and the later centers.
+
+    The iteration budget is split evenly over the restarts, with at least
+    dimension + 2 evaluations a restart (one simplex and one step), so a
+    search makes at most restarts * max(dimension + 2, iterations // restarts)
+    evaluations before the re-evaluation.
     """
 
     spec: object
@@ -48,7 +50,6 @@ class SearchProblem:
     samples: int
     seed: int
     iterations: int = 200
-    kind: str = "auto"
     restarts: int = 4
 
     def __post_init__(self):
@@ -58,8 +59,6 @@ class SearchProblem:
         check_seed(self.seed)
         if as_int(self.iterations, "iteration budget") < 1:
             raise DomainError("iteration budget must be a positive integer")
-        if self.kind not in KINDS:
-            raise DomainError("optimizer kind must be one of %s" % (KINDS,))
         if as_int(self.restarts, "restart count") < 1:
             raise DomainError("restart count must be a positive integer")
 
@@ -101,14 +100,6 @@ def configuration(problem, theta):
     if count >= 3:
         centers[2:] = theta[count:].reshape(count - 2, n)
     return PointMassMeasure(n, masses, centers)
-
-
-def _resolve_kind(problem):
-    if problem.kind != "auto":
-        return problem.kind
-    if problem.count * problem.spec.n > _ANNEAL_ABOVE:
-        return "simulated-annealing"
-    return "nelder-mead"
 
 
 class _Tracker:
@@ -218,21 +209,6 @@ def _run_nelder_mead(tracker, x0, crn_seed, budget):
     return False
 
 
-def _run_annealing(tracker, x0, crn_seed, gen, budget):
-    x = np.array(x0, dtype=float)
-    fx = tracker.evaluate(x, crn_seed)
-    steps = max(budget - 1, 1)
-    for i in range(steps):
-        frac = i / steps
-        sigma = 0.5 * (0.02 / 0.5) ** frac
-        temperature = 0.02 * (1e-4 / 0.02) ** frac
-        prop = x + sigma * gen.normal(size=x.shape)
-        fp = tracker.evaluate(prop, crn_seed)
-        if fp >= fx or gen.uniform() < math.exp((fp - fx) / temperature):
-            x, fx = prop, fp
-    return True
-
-
 def optimize(problem, threads=1):
     """Search the gauge for the best configuration of problem.count masses.
 
@@ -240,34 +216,23 @@ def optimize(problem, threads=1):
     is always reachable; every restart walks its own deterministic stream.
     The incumbent is re-evaluated on a fresh seed with a 10x budget.
     """
-    kind = _resolve_kind(problem)
     dim = problem.dimension
     tracker = _Tracker(problem, threads)
 
+    complete = True
     if dim == 0:
         crn = derive_seed(problem.seed, SEARCH_INIT, 0, 1)
         tracker.evaluate(np.empty(0), crn)
-        complete = True
     else:
         budget = max(dim + 2, problem.iterations // problem.restarts)
-        complete = True
         for restart in range(problem.restarts):
             crn = derive_seed(problem.seed, SEARCH_INIT, restart, 1)
             tracker.units = {}
-            if restart == 0:
-                x0 = np.zeros(dim)
-            else:
-                x0 = (
-                    generator(problem.seed, SEARCH_INIT, restart).normal(
-                        size=dim
-                    )
-                    * _START_SPREAD
-                )
-            if kind == "nelder-mead":
-                complete &= _run_nelder_mead(tracker, x0, crn, budget)
-            else:
-                gen = generator(problem.seed, SEARCH_ANNEAL, restart)
-                complete &= _run_annealing(tracker, x0, crn, gen, budget)
+            x0 = np.zeros(dim)
+            if restart:
+                gen = generator(problem.seed, SEARCH_INIT, restart)
+                x0 = gen.normal(size=dim) * _START_SPREAD
+            complete &= _run_nelder_mead(tracker, x0, crn, budget)
 
     best = configuration(problem, tracker.best_theta)
     fresh = levelset.weaktype_functional(
@@ -308,16 +273,18 @@ def dimension_sweep(
     samples,
     seed,
     iterations=200,
-    kind="auto",
     restarts=4,
     threads=1,
 ):
     """Run optimize over the (n, N) grid, one derived seed per cell.
 
-    A failing cell becomes an error row and the sweep continues. The value
+    A bad samples, seed, iterations or restarts value fails the whole sweep
+    before any cell runs. A cell that fails on its own (a kernel undefined
+    at its n, say) becomes an error row and the sweep continues. The value
     column holds the re-evaluated (fresh seed) estimate.
     """
-    check_seed(seed)
+    # the checks of every cell's problem, made once (no spec or count yet)
+    SearchProblem(None, 1, samples, seed, iterations, restarts)
     rows = []
     for index, (n, count) in enumerate(itertools.product(ns, counts)):
         started = time.perf_counter()
@@ -328,7 +295,6 @@ def dimension_sweep(
                 samples=samples,
                 seed=derive_seed(seed, SEARCH_INIT, unit=index),
                 iterations=iterations,
-                kind=kind,
                 restarts=restarts,
             )
             result = optimize(problem, threads=threads)

@@ -516,12 +516,32 @@ def test_exit_codes(capsys, files, monkeypatch):
     assert cli.run(
         ["weaktype", "--measure", files["pair.json"], "--lambda", "1"]
     ) == 2
-    # the random-restart optimizer is gone: argparse refuses the choice
-    assert cli.run(
-        ["search", "--n", "2", "--count", "2", "--samples", "2000", "--seed",
-         "5", "--optimizer", "random-restart"]
-    ) == 2
-    capsys.readouterr()
+    # there is one optimizer, so argparse refuses --optimizer; a bad
+    # sweep-wide value or thread count exits 2 before anything runs
+    search = ["search", "--n", "2", "--count", "2", "--samples", "2000",
+              "--seed", "5"]
+    sweep = ["sweep", "--ns", "2,3", "--counts", "1,2", "--seed", "1"]
+    interval = ["levelset", "--measure", files["delta.json"], "--lambda", "1",
+                "--method", "interval"]
+    for argv in (
+        search + ["--optimizer", "random-restart"],
+        search + ["--optimizer", "nelder-mead"],
+        sweep + ["--samples", "2000", "--optimizer", "nelder-mead"],
+        sweep + ["--samples", "10"],
+        sweep + ["--samples", "2000", "--iterations", "0"],
+        sweep + ["--samples", "2000", "--restarts", "0"],
+        interval + ["--threads", "0"],
+        ["search", "--n", "1", "--count", "2", "--samples", "1000", "--seed",
+         "1", "--threads", "-3"],
+        ["sweep", "--ns", "1,2", "--counts", "1", "--samples", "1000",
+         "--seed", "1", "--threads", "0"],
+    ):
+        assert cli.run(argv) == 2, argv
+    for bad in ("0", "-2"):
+        monkeypatch.setenv("RIESZ_LAB_THREADS", bad)
+        assert cli.run(interval) == 2
+    monkeypatch.delenv("RIESZ_LAB_THREADS")
+    assert capsys.readouterr().out == ""
 
     def boom(*_args, **_kwargs):
         raise ToleranceError("made up", partial=1.0)

@@ -94,15 +94,19 @@ def test_gauge_invariance_of_functional():
     assert a.value == b.value and a.standard_error == b.standard_error
 
 
-@pytest.mark.parametrize("kind", ["nelder-mead", "simulated-annealing"])
-def test_alternate_optimizers(kind):
+# count * n = 4, 22 and 24: the one optimizer runs below and above 20 alike
+@pytest.mark.parametrize("n, count", [(2, 2), (11, 2), (6, 4)])
+def test_search_is_deterministic_above_the_single_mass_floor(n, count):
     problem = S.SearchProblem(
-        K.riesz(2, 1), 2, 3000, 17, iterations=40, kind=kind, restarts=2
+        K.riesz(n, 1), count, 3000, 17, iterations=40, restarts=2
     )
     result = S.optimize(problem)
     # restart 0 starts at the coincident cluster, so the single-mass value
     # is always in the surrogate's reach
-    floor = 1.0 / math.pi - 3.0 * (result.standard_error + result.reevaluated_se)
+    assert result.value >= 2.0 / (math.pi * n) * (1.0 - 1e-12)
+    floor = 2.0 / (math.pi * n) - 3.0 * (
+        result.standard_error + result.reevaluated_se
+    )
     assert result.reevaluated_value >= floor - 3.0 * result.reevaluated_se
     again = S.optimize(problem)
     assert again.value == result.value
@@ -161,6 +165,13 @@ def test_nelder_mead_matches_scipy(fun, dim):
     assert outcomes == {True, False}
 
 
+def test_budget_is_split_over_restarts_with_a_floor():
+    # dimension 14, so each of the 4 restarts makes 16 evaluations, not 8 // 4
+    problem = S.SearchProblem(K.riesz(5, 1), 4, 1000, 1, iterations=8, restarts=4)
+    assert problem.dimension == 14
+    assert S.optimize(problem).evaluations == 4 * 16
+
+
 def test_incomplete_flag_on_tiny_budget():
     problem = S.SearchProblem(
         K.riesz(2, 1), 3, 2000, 7, iterations=8, restarts=1
@@ -195,10 +206,6 @@ def test_problem_validation():
         S.SearchProblem(spec, 2, 2000, -1)
     with pytest.raises(DomainError):
         S.SearchProblem(spec, 2, 2000, 7, iterations=0)
-    with pytest.raises(DomainError):
-        S.SearchProblem(spec, 2, 2000, 7, kind="gradient-descent")
-    with pytest.raises(DomainError):
-        S.SearchProblem(spec, 2, 2000, 7, kind="random-restart")
     with pytest.raises(DomainError):
         S.SearchProblem(spec, 2, 2000, 7, restarts=0)
 
