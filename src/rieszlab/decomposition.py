@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_floats, as_int, as_ints, as_positive
+from .errors import DomainError, as_floats, as_int, as_ints, as_positive, as_positive_int
 from .measures import PointMassMeasure, _row_ids
 
 _MAX_FINE_CELLS = 1 << 22
@@ -64,10 +64,8 @@ class CellUnion:
     cells: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", as_int(self.n, "dimension"))
+        object.__setattr__(self, "n", as_positive_int(self.n, "dimension"))
         object.__setattr__(self, "level", as_int(self.level, "cell level"))
-        if self.n < 1:
-            raise DomainError("dimension must be a positive integer")
         cells = as_ints(self.cells, "cell coordinate")
         if cells.shape == (0,):
             cells = cells.reshape(0, self.n)

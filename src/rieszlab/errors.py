@@ -37,6 +37,14 @@ def as_int(value, what):
     return int(value)
 
 
+def as_positive_int(value, what):
+    """value as an int of at least 1; DomainError otherwise."""
+    value = as_int(value, what)
+    if value < 1:
+        raise DomainError("%s must be a positive integer" % what)
+    return value
+
+
 def as_ints(values, what):
     """values (nested lists of integers) as an int64 array; DomainError for any
     float, bool or string entry and any integer outside int64. An int64 array

@@ -9,13 +9,14 @@ Lipschitz condition; a deterministic 1-D quadrature path serves as the
 independent oracle for sphere integrals.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .errors import DomainError, ToleranceError, as_int, as_point
+from .errors import DomainError, ToleranceError, as_int, as_point, as_positive_int
 
 RIESZ = "riesz"
 SECOND_ORDER = "riesz2"
@@ -33,10 +34,9 @@ class KernelSpec:
     j: int = 1
 
     def __post_init__(self):
-        for name in ("n", "i", "j"):
+        object.__setattr__(self, "n", as_positive_int(self.n, "dimension n"))
+        for name in ("i", "j"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.n < 1:
-            raise DomainError("dimension n must be a positive integer")
         if self.kind not in _KINDS:
             raise DomainError("unknown kernel kind %r" % (self.kind,))
         if self.kind == SECOND_ORDER and self.n < 2:
@@ -74,8 +74,13 @@ def normalization(spec):
     """Constant multiplying the raw profile; computed in log space."""
     n = spec.n
     if spec.kind == SECOND_ORDER:
-        return math.exp(math.lgamma(n / 2 + 1) - (n / 2) * math.log(math.pi))
-    return math.exp(math.lgamma((n + 1) / 2) - ((n + 1) / 2) * math.log(math.pi))
+        log_c = math.lgamma(n / 2 + 1) - (n / 2) * math.log(math.pi)
+    else:
+        log_c = math.lgamma((n + 1) / 2) - ((n + 1) / 2) * math.log(math.pi)
+    try:
+        return math.exp(log_c)
+    except OverflowError:  # n >= 438 (Riesz), n >= 436 (second order)
+        raise DomainError("kernel normalization overflows a double at n = %d" % n)
 
 
 def profile(spec, x):
@@ -213,8 +218,7 @@ def ball_volume(n):
 
 def dimensional_constant(n):
     """|B(0,1)| times the Riesz normalization; decays like n^{-1/2}."""
-    if as_int(n, "n") < 1:
-        raise DomainError("n must be a positive integer")
+    as_positive_int(n, "n")
     return math.exp(
         math.log(2.0)
         + math.lgamma((n + 1) / 2)
@@ -305,40 +309,33 @@ def lipschitz_condition_ratio(spec, xi, delta, samples, seed, threads=1):
 # ---------------------------------------------------------------------------
 
 
+# Gauss-Legendre nodes and weights on [-1, 1] by order, built on first use
+_legendre = functools.cache(np.polynomial.legendre.leggauss)
+
+
 def _quad(f, lo, hi, points=()):
-    """int_lo^hi f by adaptive quadrature to 1e-12 relative.
-
-    ToleranceError when the error estimate exceeds 1e-10 of max(1, |value|).
-    scipy.integrate is imported here, so only the oracle pays for it.
+    """int_lo^hi f (a numpy function) by Gauss-Legendre rules of orders 64 and
+    128 on each panel between lo, the points (f's kinks) and hi: the order-128
+    sum, or ToleranceError when the orders differ by over 1e-10 max(1, |sum|).
     """
-    from scipy import integrate
-
-    val, err = integrate.quad(
-        f, lo, hi, points=points or None, epsabs=0.0, epsrel=1e-12, limit=200
-    )
-    if err > 1e-10 * max(1.0, abs(val)):
+    edges = np.array([lo, *points, hi])
+    half = np.diff(edges)[:, None] / 2
+    mid = edges[:-1, None] + half
+    low, val = (float(np.sum(half * w * f(mid + half * x)))
+                for x, w in map(_legendre, (64, 128)))
+    if abs(val - low) > 1e-10 * max(1.0, abs(val)):
         raise ToleranceError("sphere quadrature did not converge", val)
     return val
 
 
 def _slice_integral(n, f, kinks=()):
-    """Reduce int_{S^{n-1}} f(theta_1) dsigma to one angular quadrature.
-
-    kinks: values of theta_1 where f has a derivative jump, passed through as
-    quadrature breakpoints so the error estimate stays honest.
-    """
+    """Reduce int_{S^{n-1}} f(theta_1) dsigma to one angular quadrature, with
+    panel breaks at the kinks: the theta_1 where f has a derivative jump."""
     if n == 1:
-        return f(1.0) + f(-1.0)
+        return float(f(1.0) + f(-1.0))
     points = sorted(math.acos(t) for t in kinks if -1.0 < t < 1.0)
-    val = _quad(
-        lambda p: f(math.cos(p)) * math.sin(p) ** (n - 2), 0.0, math.pi, points
-    )
+    val = _quad(lambda p: f(np.cos(p)) * np.sin(p) ** (n - 2), 0.0, math.pi, points)
     return sphere_surface_area(n - 1) * val
-
-
-def abs_coordinate_sphere_integral(n):
-    """int_{S^{n-1}} |theta_1| dsigma by quadrature (the V_n oracle)."""
-    return _slice_integral(n, abs, kinks=(0.0,))
 
 
 def sphere_l1_quadrature(spec):
@@ -346,18 +343,19 @@ def sphere_l1_quadrature(spec):
     n = spec.n
     c = normalization(spec)
     if spec.kind == RIESZ:
-        return c * abs_coordinate_sphere_integral(n)
+        return c * _slice_integral(n, np.abs, kinks=(0.0,))
     if spec.diagonal:
         root = 1.0 / math.sqrt(n)
         return c * _slice_integral(
-            n, lambda t: abs(t * t - 1.0 / n), kinks=(-root, root)
+            n, lambda t: np.abs(t * t - 1.0 / n), kinks=(-root, root)
         )
     if n == 2:
+        kinks = (math.pi / 2, math.pi, 1.5 * math.pi)  # |cos a sin a| = 0
         return c * _quad(
-            lambda a: abs(math.cos(a) * math.sin(a)), 0.0, 2.0 * math.pi
+            lambda a: np.abs(np.cos(a) * np.sin(a)), 0.0, 2.0 * math.pi, kinks
         )
     # two-coordinate reduction; angular |cos sin| integral equals 2
     radial = _quad(
-        lambda psi: math.sin(psi) ** 3 * math.cos(psi) ** (n - 3), 0.0, math.pi / 2
+        lambda psi: np.sin(psi) ** 3 * np.cos(psi) ** (n - 3), 0.0, math.pi / 2
     )
     return c * sphere_surface_area(n - 2) * 2.0 * radial

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, PoleError, as_floats, as_int, as_point
+from .errors import DomainError, PoleError, as_floats, as_point, as_positive_int
 
 POLE_RADIUS = 1e-12
 # (point, mass) pairs per tile of the batched transform: each of a tile's
@@ -30,9 +30,7 @@ class PointMassMeasure:
     def __post_init__(self):
         masses = np.asarray(self.masses, dtype=float)
         centers = np.asarray(self.centers, dtype=float)
-        n = as_int(self.n, "dimension n")
-        if n < 1:
-            raise DomainError("dimension n must be a positive integer")
+        n = as_positive_int(self.n, "dimension n")
         if masses.ndim != 1 or masses.size < 1:
             raise DomainError("at least one mass is required")
         if centers.shape != (masses.size, self.n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_int
+from .errors import DomainError, as_int, as_positive_int
 
 # Stream ids, one per Monte Carlo consumer.  Distinct ids give disjoint
 # counter ranges under the same seed; none is renumbered (7 was the deleted
@@ -100,8 +100,7 @@ def run_chunked(total, fn, seed, stream, unit=0, threads=1):
     fn first draws from it. Returns the per-chunk results in chunk order
     regardless of threads.
     """
-    if as_int(threads, "thread count") < 1:
-        raise DomainError("thread count must be a positive integer")
+    as_positive_int(threads, "thread count")
     sizes = chunk_sizes(total)
 
     def one(c):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import levelset
-from .errors import DomainError, ToleranceError, as_int
+from .errors import DomainError, ToleranceError, as_positive_int
 from .measures import PointMassMeasure
 from .rng import (
     SEARCH_INIT,
@@ -53,14 +53,11 @@ class SearchProblem:
     restarts: int = 4
 
     def __post_init__(self):
-        if as_int(self.count, "mass count") < 1:
-            raise DomainError("mass count must be a positive integer")
+        as_positive_int(self.count, "mass count")
         check_samples(self.samples)
         check_seed(self.seed)
-        if as_int(self.iterations, "iteration budget") < 1:
-            raise DomainError("iteration budget must be a positive integer")
-        if as_int(self.restarts, "restart count") < 1:
-            raise DomainError("restart count must be a positive integer")
+        as_positive_int(self.iterations, "iteration budget")
+        as_positive_int(self.restarts, "restart count")
 
     @property
     def dimension(self):

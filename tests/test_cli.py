@@ -104,56 +104,89 @@ def test_sphere_constants_in_high_dimension(capsys, tmp_path, n):
     assert float(rows[0]["standard_error"]) > 0.0
 
 
-def test_import_leaves_quadrature_unloaded():
-    # only the sphere quadrature oracle needs scipy.integrate
-    code = "import sys, rieszlab, rieszlab.cli; print('scipy.integrate' in sys.modules)"
-    proc = run_python(["-c", code])
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+NO_SCIPY = (
+    "import contextlib, io, json, sys\n"
+    "sys.modules['scipy'] = None  # from here on every scipy import fails\n"
+    "from rieszlab.cli import run\n"
+    "results = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out = io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out):\n"
+    "        results.append([run(argv), out.getvalue()])\n"
+    "print(json.dumps(results))\n"
+)
 
 
-def test_scipy_loads_only_where_it_runs(files, tmp_path):
-    # only the quadrature oracle of verify-kernel imports scipy: the CLI,
-    # these commands, search and sweep, whose Nelder-Mead is plain numpy, and
-    # hilbert-exact, whose line solver is plain numpy, never do
-    code = (
-        "import json, sys; from rieszlab.cli import run; code = run(sys.argv[1:]); "
-        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')])); "
-        "sys.exit(code)"
-    )
-
-    def scipy_after(argv):
-        proc = run_python(["-c", code, *argv])
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.strip().split("\n")
-        return lines[:-1], json.loads(lines[-1])
-
-    proc = run_python(["-c", "import sys, rieszlab, rieszlab.cli; "
-                       "print([m for m in sys.modules if m.startswith('scipy')])"])
-    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
-    for argv in (
-        ["cz", "--grid", files["grid.json"], "--lambda", "1", "--max-depth", "3"],
-        ["whitney", "--set", files["unit.json"], "--max-depth", "4"],
+def test_every_command_runs_without_scipy(capsys, files, tmp_path):
+    # numpy is the one runtime dependency: with scipy made unimportable,
+    # importing rieszlab and running each of the eleven subcommands gives the
+    # exit codes and bytes of an ordinary run
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({"n": 1, "masses": [{"a": 1.0, "c": [0.0]},
+                                                  {"a": 1.0, "c": [1.0]}]}))
+    commands = [
         ["constants", "--n", "3"],
+        ["verify-kernel", "--n", "3", "--samples", "20000", "--seed", "1"],
+        ["verify-kernel", "--kind", "second-order", "--n", "2", "--i", "1",
+         "--j", "2", "--samples", "20000", "--seed", "1"],
+        ["hilbert-exact", "--measure", files["delta.json"], "--lambda", "1"],
+        ["hilbert-exact", "--measure", str(two), "--lambda", "1"],
         ["levelset", "--measure", files["pair.json"], "--lambda", "1",
          "--method", "mc", "--samples", "2000", "--seed", "1"],
+        ["weaktype", "--measure", str(two), "--lambda", "1"],
+        ["whitney", "--set", files["unit.json"], "--max-depth", "4"],
+        ["cz", "--grid", files["grid.json"], "--lambda", "1", "--max-depth", "3"],
+        ["cancellation", "--n", "1", "--kind", "hilbert", "--density",
+         files["grid.json"], "--center", "2", "--radius", "0.5"],
+        ["exhaustion", "--measure", files["pair.json"], "--lambda", "1",
+         "--samples", "20000", "--seed", "7"],
         ["search", "--n", "2", "--count", "2", "--samples", "1000",
          "--seed", "1", "--iterations", "8"],
         ["sweep", "--ns", "1,2", "--counts", "1,2", "--samples", "1000",
          "--seed", "1", "--iterations", "8"],
+    ]
+    assert len({argv[0] for argv in commands}) == 11
+    proc = run_python(["-c", NO_SCIPY, json.dumps(commands)])
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    for argv, result in zip(commands, results):
+        assert result == [0, run_ok(capsys, argv)], argv
+    for _, out in results[1:3]:
+        assert [row["ok"] for row in parse_csv(out)] == ["True"] * 3
+    # lambda |{|H nu| > lambda}| / |nu| is 2 / pi, on one pole and on two
+    for _, out in results[3:5]:
+        total = float(out.strip().split("\n")[-1].split(",")[-1])
+        assert total == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+
+def test_dimensions_past_the_double_range_exit_2(capsys, tmp_path):
+    # the kernel normalization overflows a double from n = 438 (Riesz); these
+    # once exited 1 with an OverflowError traceback
+    path = tmp_path / "pair500.json"
+    path.write_text(json.dumps({"n": 500, "masses": [
+        {"a": 1.0, "c": [0.0] * 500}, {"a": 2.0, "c": [0.1] * 500}]}))
+    for argv in (
+        ["constants", "--n", "438"],
+        ["constants", "--kind", "second-order", "--n", "436"],
+        ["verify-kernel", "--n", "438", "--seed", "1"],
+        ["levelset", "--measure", str(path), "--lambda", "1", "--method", "mc",
+         "--samples", "1000", "--seed", "1"],
     ):
-        assert scipy_after(argv)[1] == [], argv
-    # lambda |{|H nu| > lambda}| / |nu| is 2 / pi; one pole needs no solve
-    out, loaded = scipy_after(["hilbert-exact", "--measure", files["delta.json"],
-                               "--lambda", "1"])
-    assert float(out[-1].split(",")[-1]) == pytest.approx(2.0 / math.pi, rel=1e-12)
-    assert loaded == []
-    path = tmp_path / "two.json"
-    path.write_text(json.dumps({"n": 1, "masses": [{"a": 1.0, "c": [0.0]},
-                                                   {"a": 1.0, "c": [1.0]}]}))
-    out, loaded = scipy_after(["hilbert-exact", "--measure", str(path), "--lambda", "1"])
-    assert loaded == []
-    assert float(out[-1].split(",")[-1]) == pytest.approx(2.0 / math.pi, rel=1e-12)
+        assert cli.run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at n = " in err, argv
+    # a sweep keeps its other cells and reports the failed one as a row
+    sweep = ["sweep", "--samples", "1000", "--seed", "1", "--iterations", "4",
+             "--restarts", "1"]
+    rows = parse_csv(run_ok(capsys, sweep + ["--ns", "3,440", "--counts", "2"]))
+    assert [r["n"] for r in rows] == ["3", "440"]
+    assert math.isfinite(float(rows[0]["value"]))
+    assert not rows[0]["status"].startswith("error")
+    assert rows[1]["status"] == (
+        "error: kernel normalization overflows a double at n = 440")
+    # one mass needs no normalization, so its cell still runs
+    rows = parse_csv(run_ok(capsys, sweep + ["--ns", "440", "--counts", "1"]))
+    assert [(r["n"], r["status"]) for r in rows] == [("440", "ok")]
 
 
 def test_non_integer_json_exits_2(capsys, tmp_path):

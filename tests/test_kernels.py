@@ -5,7 +5,8 @@ import pytest
 
 import rieszlab
 from rieszlab import kernels as K
-from rieszlab.errors import DomainError
+from rieszlab import decomposition, measures, rng, search
+from rieszlab.errors import DomainError, ToleranceError
 
 
 def test_eval_kernel_frozen_values():
@@ -44,6 +45,27 @@ def test_spec_validation():
         K.riesz(3, 4)
     with pytest.raises(DomainError):
         K.KernelSpec(2, "cauchy")
+
+
+def test_positive_integer_checks_share_one_validator():
+    # every count-like input refuses 0, -1 and 1.5 the same way
+    spec = K.riesz(2, 1)
+    sites = [
+        ("dimension n", lambda v: K.KernelSpec(v, K.RIESZ)),
+        ("dimension n", lambda v: measures.PointMassMeasure(v, [1.0], [[0.0]])),
+        ("dimension", lambda v: decomposition.CellUnion(v, 0, [])),
+        ("n", K.dimensional_constant),
+        ("mass count", lambda v: search.SearchProblem(spec, v, 1000, 1)),
+        ("iteration budget", lambda v: search.SearchProblem(spec, 2, 1000, 1, v)),
+        ("restart count", lambda v: search.SearchProblem(spec, 2, 1000, 1, 8, v)),
+        ("thread count", lambda v: rng.run_chunked(1000, None, 1, 1, threads=v)),
+    ]
+    for what, site in sites:
+        for bad in (0, -1):
+            with pytest.raises(DomainError, match="^%s must be a positive" % what):
+                site(bad)
+        with pytest.raises(DomainError, match="^%s must be an integer$" % what):
+            site(1.5)
 
 
 def test_origin_rejected():
@@ -201,8 +223,9 @@ SPHERE_FAMILIES = {
 
 @pytest.mark.parametrize("family", sorted(SPHERE_FAMILIES))
 def test_sphere_l1_norm_matches_oracle(family):
-    # the quadrature used to give up at n = 10..16 and beyond
-    for n in range(2, 65):
+    # the quadrature used to give up at n = 10..16 and beyond; 435 is the
+    # largest n whose second-order normalization is a double
+    for n in [*range(2, 65), 100, 200, 435]:
         spec = SPHERE_FAMILIES[family](n)
         assert K.sphere_l1_norm(spec) == pytest.approx(
             K.sphere_l1_quadrature(spec), rel=1e-12
@@ -225,6 +248,16 @@ def test_sphere_l1_quadrature_oracle():
     assert vals[0] == pytest.approx(2 / math.pi, rel=1e-9)
     assert all(v < 2.0 for v in vals)
     assert vals == sorted(vals)
+
+
+def test_quadrature_needs_the_kinks_as_panel_breaks():
+    # the two Gauss-Legendre orders disagree across an unlisted kink
+    def f(x):
+        return np.abs(x - 0.3)
+
+    with pytest.raises(ToleranceError):
+        K._quad(f, 0.0, 1.0)
+    assert K._quad(f, 0.0, 1.0, (0.3,)) == pytest.approx(0.29, rel=1e-14)
 
 
 def test_sphere_l1_mc_matches_quadrature():
