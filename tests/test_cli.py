@@ -117,10 +117,21 @@ NO_SCIPY = (
 )
 
 
-def test_every_command_runs_without_scipy(capsys, files, tmp_path):
-    # numpy is the one runtime dependency: with scipy made unimportable,
-    # importing rieszlab and running each of the eleven subcommands gives the
-    # exit codes and bytes of an ordinary run
+def test_import_leaves_quadrature_unloaded():
+    # the sphere quadrature oracle is numpy Gauss-Legendre panels, so importing
+    # the package and its CLI loads no scipy module at all
+    code = ("import json, sys, rieszlab, rieszlab.cli; "
+            "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_scipy_loads_only_where_it_runs(capsys, files, tmp_path):
+    # scipy runs nowhere, so it may load nowhere: numpy is the one runtime
+    # dependency, and with scipy made unimportable, importing rieszlab and
+    # running each of the eleven subcommands gives the exit codes and bytes of
+    # an ordinary run
     two = tmp_path / "two.json"
     two.write_text(json.dumps({"n": 1, "masses": [{"a": 1.0, "c": [0.0]},
                                                   {"a": 1.0, "c": [1.0]}]}))
