@@ -304,7 +304,6 @@ def build_exhaustion(nu, lam, mc_samples, seed):
         r_hi = (float(np.sum(targets[: k + 1])) / vball) ** (1.0 / n)
 
         solved = None
-        best = None
         for grow in range(_MAX_GROW):
             gen = generator(seed, EXHAUSTION, unit=k, chunk=grow)
             pool = center + r_hi * uniform_ball(gen, mc_samples, n)
@@ -329,7 +328,7 @@ def build_exhaustion(nu, lam, mc_samples, seed):
                 mid = 0.5 * (lo_r + hi_r)
                 est, se = estimate(mid)
                 gap = abs(est - target)
-                if best is None or gap < best[0]:
+                if gap < best[0]:
                     best = (gap, mid, est, se)
                 if se > 0.0 and gap <= se:
                     solved = (mid, est, se)
@@ -338,13 +337,13 @@ def build_exhaustion(nu, lam, mc_samples, seed):
                     lo_r = mid
                 else:
                     hi_r = mid
-            if solved is None and best is not None and best[0] <= 3.0 * best[3]:
+            if solved is None and best[0] <= 3.0 * best[3]:
                 solved = (best[1], best[2], best[3])
             break
         if solved is None:
             raise ToleranceError(
                 "could not match the target volume for set %d" % (k + 1),
-                partial=best[1] if best else None,
+                partial=best[1],
             )
         radius, volume, se = solved
         sets.append(

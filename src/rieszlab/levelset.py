@@ -26,8 +26,8 @@ from .rng import (
     combine_mean_se,
     generator,
     run_chunked,
-    scale_pair_star,
     scale_star,
+    # perfbench/tracer.py wraps this by name: keep it through cleanups
     uniform_ball,
     unit_diagonal_star,
     unit_pair_star,
@@ -192,32 +192,34 @@ def star_thresholds(nu, lam):
     return lam * s / s.sum()
 
 
-# the component families of _Proposal: each has a unit draw that depends on
-# n alone, and mc_levelset keeps unit draws under the family's name
-_RIESZ, _PAIR, _DIAGONAL, _BALL = "riesz star", "pair star", "diagonal star", "ball"
-_UNIT_STARS = {_RIESZ: unit_star, _PAIR: unit_pair_star, _DIAGONAL: unit_diagonal_star}
+def _unit_interval(gen, m, n):
+    """The unit star of the one dimensional kernel, the interval (-1, 1),
+    drawn as a unit ball in the shape of rng.unit_star: base = |x|, sign = x
+    and t = 1 on the one star axis, and no other coordinates."""
+    x = uniform_ball(gen, m, 1)
+    return np.empty((0, m)), np.zeros(1), np.ones((1, 1)), np.abs(x[:, 0]), x.T
 
 
 class _Proposal:
     """Where mc_levelset draws its points, and the density it weights by.
 
-    Mass k has one component, at the threshold t'_k = SHRINK t_k of
-    star_thresholds: for n >= 2 the star {a_k |K(. - c_k)| > t'_k}, of
-    volume (a_k / t'_k) |{|K| > 1}| (unit_levelset_volume), which is c_k plus
-    the unit star {r^n < |P(theta)|} of the raw profile P scaled by
-    (a_k c / t'_k)^(1/n), c the normalization; for n = 1 the interval about
-    c_k of radius sup|Omega| a_k / t'_k, which is that star. Component k is
-    picked with probability |component k| / V, so a point held by `count`
-    components has density count / V.
+    Mass k has one component, the star {a_k |K(. - c_k)| > t'_k} at the
+    threshold t'_k = SHRINK t_k of star_thresholds, of volume
+    (a_k / t'_k) |{|K| > 1}| (unit_levelset_volume): c_k plus the unit star
+    {r^n < |P(theta)|} of the raw profile P scaled by (a_k c / t'_k)^(1/n),
+    c the normalization. For n = 1 it is the interval about c_k of radius
+    sup|Omega| a_k / t'_k. Component k is picked with probability
+    |component k| / V, so a point held by `count` components has density
+    count / V.
 
-    A draw is a unit draw, which depends on no measure (the picking
-    uniforms and a unit star or ball per point: rng.unit_star for Riesz
+    A draw is a unit draw, which depends on no measure (the picking uniforms
+    and a unit star per point, drawn by unit_draw: rng.unit_star for Riesz
     kernels, rng.unit_pair_star for x_i x_j / |x|^(n+2),
-    rng.unit_diagonal_star for the diagonal kernels, rng.uniform_ball for
+    rng.unit_diagonal_star for the diagonal kernels, _unit_interval for
     n = 1), followed by this proposal's map, place: pick by searchsorted,
-    then shift to the center and scale by the component's size. draw(gen,
-    size) is the two in turn; the pole retries of mc_levelset call it on
-    their own stream.
+    then rng.scale_star scales the star to the component's size on the
+    star axes `axes` and shifts it to the center. draw(gen, size) is the two
+    in turn; the pole retries of mc_levelset call it on their own stream.
     """
 
     def __init__(self, spec, nu, lam):
@@ -226,54 +228,41 @@ class _Proposal:
         self.t = SHRINK * star_thresholds(nu, lam)
         reach = nu.masses / self.t
         if n == 1:
-            # the interval about c_k of radius sup|Omega| a_k / t'_k is its star
-            self.family = _BALL
-            self.scale = reach * kernels.omega_sup(spec)
-            vols = 2.0 * self.scale
+            # 2 sup|Omega|, so that reach times it is 2 (reach sup|Omega|)
+            self.unit_draw, unit_volume = _unit_interval, 2.0 * kernels.omega_sup(spec)
+        elif spec.kind == kernels.RIESZ:
+            # 2 / (pi n) rounds unlike (2 / pi) / n: Riesz volumes keep it
+            self.unit_draw, unit_volume = unit_star, unit_levelset_constant(n)
         else:
-            if spec.kind == kernels.RIESZ:
-                # 2 / (pi n) rounds unlike (2 / pi) / n: Riesz volumes keep it
-                self.family, unit_volume = _RIESZ, unit_levelset_constant(n)
-            else:
-                self.family = _DIAGONAL if spec.diagonal else _PAIR
-                unit_volume = unit_levelset_volume(spec)
-            vols = reach * unit_volume
-            # star k is c_k plus the family's unit star scaled by this
-            self.scale = (reach * kernels.normalization(spec)) ** (1.0 / n)
+            self.unit_draw = unit_diagonal_star if spec.diagonal else unit_pair_star
+            unit_volume = unit_levelset_volume(spec)
+        # the star axes follow the draw: a Riesz kernel reads x_j alone,
+        # whatever its i
+        pair = self.unit_draw is unit_pair_star
+        self.axes = (spec.i - 1, spec.j - 1) if pair else (spec.j - 1,)
+        vols = reach * unit_volume
+        # star k is c_k plus the unit star scaled by this
+        self.scale = (reach * kernels.normalization(spec)) ** (1.0 / n)
         self.vtot = float(np.sum(vols))
         self.pick = np.cumsum(vols) / self.vtot
 
     def unit(self, gen, size):
         """The draws of `size` points that depend on no measure, as a tuple
         of arrays: the uniforms that pick the components, then the pieces of
-        a unit star (the family's rng draw) or a unit ball draw
-        (uniform_ball). A function of the generator's cell, size, n and the
-        component family.
+        a unit star (unit_draw). A function of the generator's cell, size, n
+        and unit_draw.
         """
-        u = gen.random(size)
-        if self.family == _BALL:
-            return u, uniform_ball(gen, size, self.spec.n)
-        return (u,) + _UNIT_STARS[self.family](gen, size, self.spec.n)
+        return (gen.random(size),) + self.unit_draw(gen, size, self.spec.n)
 
     def place(self, block):
         """The points of a unit block: each in the component its uniform
-        picks, its star or ball scaled to that component's size."""
-        nu = self.nu
+        picks, its star scaled to that component's size."""
         idx = np.searchsorted(self.pick, block[0], side="right")
-        np.minimum(idx, nu.count - 1, out=idx)
-        if self.family != _BALL:
-            # coordinate rows, the layout measures.kernel_tiles works in
-            cols = np.take(nu.centers.T, idx, axis=1)
-            if self.family == _PAIR:
-                cols += scale_pair_star(
-                    block[1:], self.spec.i - 1, self.spec.j - 1, self.scale[idx]
-                )
-            else:
-                cols += scale_star(block[1:], self.spec.j - 1, self.scale[idx])
-            return cols.T
-        pts = np.take(nu.centers, idx, axis=0)
-        pts += self.scale[idx, None] * block[1]
-        return pts
+        np.minimum(idx, self.nu.count - 1, out=idx)
+        # coordinate rows, the layout measures.kernel_tiles works in
+        cols = np.take(self.nu.centers.T, idx, axis=1)
+        cols += scale_star(block[1:], self.axes, self.scale[idx])
+        return cols.T
 
     def draw(self, gen, size):
         """`size` points, each uniform in a component picked by volume."""
@@ -284,7 +273,7 @@ class _Proposal:
 
         One pass over tiles of masses (measures.kernel_tiles): r2 is formed
         once per (row, mass) pair and gives the pole test and K; a_k K gives
-        the star test, the one inside test of every family, and T nu.
+        the star test, the one inside test of every kernel, and T nu.
         """
         rows = pts.shape[0]
         total = np.zeros(rows)
@@ -311,12 +300,12 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1, units=None):
     """Monte Carlo volume of {|T nu| > lam}.
 
     Points come from one iid mixture, _Proposal: one component per mass, the
-    kernel's own star at a share SHRINK t_k of lam (on the line an interval,
-    drawn as a unit ball), picked in proportion to its volume. The
-    shares SHRINK t_k sum to less than lam, so where |T nu| > lam some
-    component holds the point with room to spare: the mixture strictly
-    contains the level set, and each hit x is weighted by 1 / q(x) = V /
-    count(x), V the total volume. The weights therefore always have positive
+    kernel's own star at a share SHRINK t_k of lam (on the line an
+    interval), picked in proportion to its volume. The shares SHRINK t_k
+    sum to less than lam, so where |T nu| > lam some component holds the
+    point with room to spare: the mixture strictly contains the level set,
+    and each hit x is weighted by 1 / q(x) = V / count(x), V the total
+    volume. The weights therefore always have positive
     variance, even where one star is nearly the whole set (one mass): the SE
     is a genuine sampling error, never 0 by construction, and as the rows
     are iid it is the honest one.
@@ -330,13 +319,14 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1, units=None):
 
     A search restart evaluates many measures on one seed (common random
     numbers) and passes a dict as units: each chunk's unit draw
-    (_Proposal.unit) is kept there under (seed, chunk, size, n, family),
+    (_Proposal.unit) is kept there under (seed, chunk, size, n, unit_draw),
     read-only, and mapped again by every later call with that dict: the same
-    points, bit for bit, with no generator made. The family (Riesz,
-    off-diagonal or diagonal star, or ball) names the shape of the draw, so
-    kernels of one n may share the dict. Only the first chunks of a draw are
-    kept, up to UNIT_CACHE_BYTES. Without units nothing is kept. Chunks have
-    their own keys, so threads may share the dict within a call.
+    points, bit for bit, with no generator made. The unit draw function
+    (rng.unit_star, unit_pair_star, unit_diagonal_star or _unit_interval)
+    names the law of the draw, so kernels of one n may share the dict. Only
+    the first chunks of a draw are kept, up to UNIT_CACHE_BYTES. Without
+    units nothing is kept. Chunks have their own keys, so threads may share
+    the dict within a call.
     """
     lam = as_positive(lam, "threshold")
     kernels.check_dimension(spec, nu)
@@ -351,7 +341,7 @@ def mc_levelset(spec, nu, lam, samples, seed, threads=1, units=None):
     def unit(gen, size, chunk_index):
         if units is None:
             return prop.unit(gen, size)
-        key = (seed, chunk_index, size, spec.n, prop.family)
+        key = (seed, chunk_index, size, spec.n, prop.unit_draw)
         block = units.get(key)
         if block is None:
             block = prop.unit(gen, size)

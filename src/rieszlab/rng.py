@@ -8,10 +8,11 @@ do not depend on the thread count. For the same reason a cell's draws can be
 kept and reused where a seed repeats (mc_levelset's units).
 
 The stars of the kernels, {|K| > 1} scaled, are drawn as a unit draw that
-depends on n alone and a map that scales and places it: unit_star and
-scale_star for Riesz kernels, unit_pair_star and scale_pair_star for
-off-diagonal second-order kernels, unit_diagonal_star and scale_star for
-diagonal ones.
+depends on n alone and one map, scale_star, that scales and places it.
+Every unit draw has one shape, (g, rest, t, base, sign), with t and sign of
+shape (k, m) for k star axes: k = 1 for unit_star (Riesz kernels) and
+unit_diagonal_star (diagonal second-order ones), k = 2 for unit_pair_star
+(off-diagonal ones).
 """
 
 import math
@@ -40,8 +41,8 @@ CHUNK = 1 << 14
 # Fewest samples any Monte Carlo estimate accepts.
 MIN_SAMPLES = 1000
 # Bytes of unit draws mc_levelset keeps of one (seed, samples): one full
-# chunk (n + 4 doubles a point, n + 5 for off-diagonal second-order stars) up
-# to n = 28 (27).
+# chunk (n + 4 doubles a point with one star axis, n + 5 with two) up to
+# n = 28 (27).
 UNIT_CACHE_BYTES = 4 << 20
 
 
@@ -156,17 +157,16 @@ def uniform_ball(gen, m, n):
 
 
 def unit_star(gen, m, n):
-    """The scale-free pieces of m points of uniform_star: (g, rest, tj, base,
-    sign), one column per point.
+    """The scale-free pieces of m points uniform in the unit star
+    {x : |x|^n < |x_j| / |x|}, n >= 2, of a Riesz profile: (g, rest, t, base,
+    sign), with t and sign of shape (1, m), one column per point.
 
-    The unit star {x : |x|^n < |x_j| / |x|}, n >= 2, is the level set
-    {|x_j| / |x|^(n+1) > 1} of a Riesz profile. Its direction theta has
-    density proportional to |theta_j| on S^{n-1}, so theta_j^2 = B is
-    Beta(1, (n-1)/2), drawn by inverse CDF as 1 - U^(2/(n-1)); the top bit of
-    U gives the sign. The other coordinates are rest = sqrt(1 - B) =
-    U^(1/(n-1)) times g, a uniform point of S^{n-2} (for n = 2 a sign, the
-    next bit of U), with tj = |theta_j|. Then r^n is uniform below tj: r =
-    base = (tj V)^(1/n) in the unit star. None of this depends on j.
+    The direction theta has density proportional to |theta_j| on S^{n-1}, so
+    theta_j^2 = B is Beta(1, (n-1)/2), drawn by inverse CDF as
+    1 - U^(2/(n-1)); the top bit of U gives the sign. The other coordinates
+    are rest = sqrt(1 - B) = U^(1/(n-1)) times g, a uniform point of S^{n-2}
+    (for n = 2 a sign, the next bit of U), with t = |theta_j|. Then r^n is
+    uniform below t: r = base = (t V)^(1/n). None of this depends on j.
     """
     u = gen.random((2, m))
     frac, top = np.modf(2.0 * u[0])
@@ -180,29 +180,34 @@ def unit_star(gen, m, n):
         g /= np.sqrt(np.einsum("ij,ij->j", g, g))
         rest = frac ** (1.0 / (n - 1))
     tj = np.sqrt(1.0 - rest * rest)
-    return g, rest, tj, (tj * u[1]) ** (1.0 / n), top - 0.5
+    return g, rest, tj[None], (tj * u[1]) ** (1.0 / n), top[None] - 0.5
 
 
-def scale_star(unit, j, scale):
-    """The points of unit_star's pieces, each multiplied by scale (a number
-    or one per point), as an (n, m) array of coordinates: coordinate j
-    (0-based) is sign tj r, the others g rest r, with r = scale base.
+def scale_star(unit, axes, scale):
+    """The points of a unit draw's pieces (g, rest, t, base, sign), each
+    multiplied by scale (a number or one per point), as an (n, m) array of
+    coordinates: coordinate axes[k] (0-based, distinct) is sign[k] t[k] r,
+    the others in order g rest r, with r = scale base.
     """
-    g, rest, tj, base, sign = unit
+    g, rest, t, base, sign = unit
     r = scale * base
     h = r * rest
-    out = np.empty((g.shape[0] + 1, g.shape[1]))
-    np.multiply(g[:j], h, out=out[:j])
-    out[j] = np.copysign(tj * r, sign)
-    np.multiply(g[j:], h, out=out[j + 1:])
+    out = np.empty((g.shape[0] + len(axes), base.shape[0]))
+    # the rows between star axes hold the rows of g, q star axes below them
+    edges = (-1, *sorted(axes), out.shape[0])
+    for q in range(len(axes) + 1):
+        lo, hi = edges[q] + 1, edges[q + 1]
+        np.multiply(g[lo - q : hi - q], h, out=out[lo:hi])
+    for a, ta, sa in zip(axes, t, sign):
+        np.copysign(ta * r, sa, out=out[a])
     return out
 
 
 def unit_pair_star(gen, m, n):
     """The scale-free pieces of m points uniform in the unit star
     {x : |x|^n < |x_i x_j| / |x|^2}, i != j, n >= 2, of an off-diagonal
-    second-order profile: (g, rest, ti, tj, base, si, sj), one column per
-    point.
+    second-order profile: (g, rest, t, base, sign), with t = (ti, tj) and
+    sign = (si, sj) of shape (2, m), one column per point.
 
     The direction theta has density proportional to |theta_i theta_j| on
     S^{n-1}, so (theta_i^2, theta_j^2, |theta_rest|^2) is Dirichlet(1, 1,
@@ -220,37 +225,20 @@ def unit_pair_star(gen, m, n):
     g /= np.sqrt(norm2)
     total = e[0] + e[1] + 0.5 * norm2
     rest = np.sqrt(0.5 * norm2 / total)
-    ti, tj = np.sqrt(e / total)
+    t = np.sqrt(e / total)
     u = gen.random((2, m))
-    frac, si = np.modf(2.0 * u[0])
-    sj = np.floor(2.0 * frac)
-    return g, rest, ti, tj, (ti * tj * u[1]) ** (1.0 / n), si - 0.5, sj - 0.5
-
-
-def scale_pair_star(unit, i, j, scale):
-    """The points of unit_pair_star's pieces, each multiplied by scale (a
-    number or one per point), as an (n, m) array of coordinates: coordinates
-    i and j (0-based, distinct) are si ti r and sj tj r, the others g rest r,
-    with r = scale base.
-    """
-    g, rest, ti, tj, base, si, sj = unit
-    r = scale * base
-    h = r * rest
-    lo, hi = min(i, j), max(i, j)
-    out = np.empty((g.shape[0] + 2, g.shape[1]))
-    np.multiply(g[:lo], h, out=out[:lo])
-    np.multiply(g[lo:hi - 1], h, out=out[lo + 1:hi])
-    np.multiply(g[hi - 1:], h, out=out[hi + 1:])
-    out[i] = np.copysign(ti * r, si)
-    out[j] = np.copysign(tj * r, sj)
-    return out
+    base = (t[0] * t[1] * u[1]) ** (1.0 / n)
+    # the signs si - 1/2 and sj - 1/2, from the top two bits of u[0], overwrite u
+    np.modf(2.0 * u[0], out=(u[1], u[0]))
+    np.floor(2.0 * u[1], out=u[1])
+    u -= 0.5
+    return g, rest, t, base, u
 
 
 def unit_diagonal_star(gen, m, n):
     """The scale-free pieces of m points uniform in the unit star
     {x : |x|^n < |x_j^2 / |x|^2 - 1/n|}, n >= 2, of a diagonal second-order
-    profile, in unit_star's shape (g, rest, tj, base, sign), so that
-    scale_star places them.
+    profile, in unit_star's shape (g, rest, t, base, sign).
 
     The direction has density proportional to |B - 1/n| on S^{n-1}, with
     B = theta_j^2 ~ Beta(1/2, (n-1)/2) under the uniform law. As B has mean
@@ -261,7 +249,7 @@ def unit_diagonal_star(gen, m, n):
     a function of the generator's state alone; a round of twice the number
     still missing (plus 64) keeps fewer than that number except at the end,
     so few candidates are wasted. The other coordinates are
-    sqrt(1 - B) times a uniform point g of S^{n-2}, tj = sqrt(B) takes a
+    sqrt(1 - B) times a uniform point g of S^{n-2}, t = sqrt(B) takes a
     random sign, and r = base = (|B - 1/n| V)^(1/n).
     """
     p = 1.0 / n
@@ -278,16 +266,4 @@ def unit_diagonal_star(gen, m, n):
     g /= np.sqrt(np.einsum("ij,ij->j", g, g))
     u = gen.random((2, m))
     base = (np.abs(b - p) * u[1]) ** (1.0 / n)
-    return g, np.sqrt(1.0 - b), np.sqrt(b), base, u[0] - 0.5
-
-
-def uniform_star(gen, m, n, j, scale=1.0):
-    """m points uniform in the unit star {x : |x|^n < |x_j| / |x|}, n >= 2,
-    each multiplied by scale (a number or one per point); j is 0-based.
-
-    The unit draw unit_star followed by the map scale_star: callers that
-    draw the same points at many scales keep the first and map it again.
-    The result is a column-major (m, n) array.
-    """
-    return scale_star(unit_star(gen, m, n), j, scale).T
-
+    return g, np.sqrt(1.0 - b), np.sqrt(b)[None], base, u[None, 0] - 0.5

@@ -124,7 +124,7 @@ def test_uniform_sphere_and_ball():
 def test_uniform_star_direction_law(n):
     # theta_j^2 is Beta(1, (n - 1) / 2): E|theta_j| = G(3/2) G(b + 1) / G(b + 3/2)
     m, j = 200_000, n // 2
-    x = rng.uniform_star(rng.generator(n, rng.LEVELSET), m, n, j)
+    x = rng.scale_star(rng.unit_star(rng.generator(n, rng.LEVELSET), m, n), (j,), 1.0).T
     r = np.linalg.norm(x, axis=1)
     tj = np.abs(x[:, j]) / r
     b = (n - 1) / 2
@@ -143,8 +143,8 @@ def test_scale_star_scales_each_unit_point():
     for n in (2, 3, 6):
         unit = rng.unit_star(rng.generator(3, rng.LEVELSET), 500, n)
         scale = np.linspace(0.5, 2.0, 500)
-        scaled = rng.scale_star(unit, n - 1, scale)
-        assert np.allclose(scaled, scale * rng.scale_star(unit, n - 1, 1.0), rtol=1e-15, atol=0)
+        scaled = rng.scale_star(unit, (n - 1,), scale)
+        assert np.allclose(scaled, scale * rng.scale_star(unit, (n - 1,), 1.0), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("n,i,j", [(2, 0, 1), (3, 2, 0), (5, 1, 3), (10, 0, 9)])
@@ -153,7 +153,7 @@ def test_pair_star_direction_law(n, i, j):
     # E theta_i^2 = E theta_j^2 = 2 / (n + 2)
     m = 200_000
     unit = rng.unit_pair_star(rng.generator(n, rng.LEVELSET), m, n)
-    x = rng.scale_pair_star(unit, i, j, 1.0)
+    x = rng.scale_star(unit, (i, j), 1.0)
     r = np.sqrt(np.einsum("ij,ij->j", x, x))
     for d in (i, j):
         t2 = (x[d] / r) ** 2
@@ -184,7 +184,7 @@ def test_diagonal_star_direction_law(n):
     # 0.07% quantile)
     m, j, bins = 200_000, n - 1, 20
     unit = rng.unit_diagonal_star(rng.generator(n, rng.LEVELSET), m, n)
-    x = rng.scale_star(unit, j, 1.0)
+    x = rng.scale_star(unit, (j,), 1.0)
     r = np.sqrt(np.einsum("ij,ij->j", x, x))
     b = (x[j] / r) ** 2
     got = np.bincount(np.searchsorted(_diagonal_quantiles(n, bins), np.arcsin(np.sqrt(b))))
