@@ -194,10 +194,11 @@ def star_thresholds(nu, lam):
 
 def _unit_interval(gen, m, n):
     """The unit star of the one dimensional kernel, the interval (-1, 1),
-    drawn as a unit ball in the shape of rng.unit_star: base = |x|, sign = x
-    and t = 1 on the one star axis, and no other coordinates."""
-    x = uniform_ball(gen, m, 1)
-    return np.empty((0, m)), np.zeros(1), np.ones((1, 1)), np.abs(x[:, 0]), x.T
+    drawn as a unit ball in the shape of rng.unit_star: t = 1 on the one
+    star axis and no other coordinates. base and sign are both x, one array:
+    copysign puts back the sign that base already carries."""
+    x = uniform_ball(gen, m, 1).T
+    return np.empty((0, m)), np.zeros(1), np.ones((1, 1)), x[0], x
 
 
 class _Proposal:

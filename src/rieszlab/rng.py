@@ -42,7 +42,8 @@ CHUNK = 1 << 14
 MIN_SAMPLES = 1000
 # Bytes of unit draws mc_levelset keeps of one (seed, samples): one full
 # chunk (n + 4 doubles a point with one star axis, n + 5 with two) up to
-# n = 28 (27).
+# n = 28 (27). At n = 1 base and sign are one array, counted twice: 3
+# doubles a point.
 UNIT_CACHE_BYTES = 4 << 20
 
 

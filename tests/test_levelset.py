@@ -526,35 +526,37 @@ def test_mc_memory_does_not_grow_with_masses():
     assert peak < 32 * 2**20
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_mc_all_miss_reports_rule_of_three_bound(seed):
+@pytest.mark.parametrize("block", [0, 1])
+def test_mc_all_miss_reports_rule_of_three_bound(block):
     # 10^4 unit masses spread far apart in 5-D: a draw hits with probability
     # about SHRINK sum(a) / (sum sqrt(a))^2 = 1e-4, so 1000 draws miss
     # throughout about 90% of the time. A call that hits reports a positive
     # value and SE; one that misses reports 0 and the bound 3 V / m, V the
     # total volume of the components, which for second-order kernels are
-    # their stars too, of volume (a_k / t'_k) |{|K| > 1}|. At each seed at
-    # least one of the three kernels misses
+    # their stars too, of volume (a_k / t'_k) |{|K| > 1}|. Case `block`
+    # scans seeds 4 block .. 4 block + 3, so the two cases cover 0..7, and
+    # each kernel must miss at some seed of each
     nu = M.PointMassMeasure(
         n=5,
         masses=np.ones(10_000),
         centers=np.random.default_rng(0).normal(size=(10_000, 5)) * 100,
     )
     reach = float(np.sum(nu.masses / (L.SHRINK * L.star_thresholds(nu, 1.0))))
-    misses = 0
     for spec in (K.riesz(5, 1), K.second_order(5, 2, 2), K.second_order(5, 1, 2)):
-        est = L.mc_levelset(spec, nu, 1.0, 1000, seed=seed)
-        if est.value > 0.0:
-            assert est.standard_error > 0.0, spec
-            continue
-        misses += 1
         vtot = reach * L.unit_levelset_volume(spec)
-        assert est.value == 0.0, spec
-        assert est.standard_error == pytest.approx(3.0 * vtot / 1000, rel=1e-12)
-        # a numpy zero: the relative error is inf, not a ZeroDivisionError
-        with np.errstate(divide="ignore"):
-            assert est.standard_error / est.value == math.inf
-    assert misses >= 1
+        misses = 0
+        for seed in range(4 * block, 4 * block + 4):
+            est = L.mc_levelset(spec, nu, 1.0, 1000, seed=seed)
+            if est.value > 0.0:
+                assert est.standard_error > 0.0, (spec, seed)
+                continue
+            misses += 1
+            assert est.value == 0.0, (spec, seed)
+            assert est.standard_error == pytest.approx(3.0 * vtot / 1000, rel=1e-12)
+            # a numpy zero: the relative error is inf, not a ZeroDivisionError
+            with np.errstate(divide="ignore"):
+                assert est.standard_error / est.value == math.inf
+        assert misses >= 1, spec
 
 
 @pytest.mark.parametrize("seed", [0, 1])
